@@ -3,9 +3,18 @@
 A set is unavoidable when no sufficiently long cyclic permutation avoids it.
 That property is not decidable by finite search, so every report here is
 horizon-relative: it records exactly which lengths up to the horizon admit
-an avoider, and labels itself accordingly. Constructive witness families
-(the one-pattern-removed constructions and the repeated blow-up) are valid
-for every length they are defined at, independent of any horizon.
+an avoider, and labels itself accordingly. A set counts as unavoidable at a
+horizon only when Av_n is empty at two or more consecutive lengths ending at
+the horizon; one empty length proves nothing about the next (the
+alternating pair [1~2~3] [3~2~1] is empty at every odd n and at no even n).
+Constructive witness families (the one-pattern-removed constructions and the
+repeated blow-up) are valid for every length they are defined at,
+independent of any horizon.
+
+Existence questions are answered by the first leaf of the enumeration
+engine (`enumeration.enumerate_avoiders`); this module has no search of its
+own. A search that exhausts its node budget raises
+`enumeration.BudgetExceededError`, which the CLI reports with exit code 3.
 """
 
 from __future__ import annotations
@@ -15,16 +24,11 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
+from .enumeration import enumerate_avoiders
 from .patterns import CYCLIC, Pattern, PatternSet, all_totally_vincular
-from .perms import CyclicPerm, LinearPerm, canonicalize, reduce_window
+from .perms import CyclicPerm, LinearPerm, canonicalize
 
 DEFAULT_SEARCH_BUDGET = 20_000_000
-
-
-class SearchBudgetExceeded(RuntimeError):
-    def __init__(self, message: str, nodes: int):
-        super().__init__(message)
-        self.nodes = nodes
 
 
 def _totally_vincular_cyclic(values: tuple[int, ...]) -> Pattern:
@@ -128,61 +132,17 @@ def witness_minus_one(i: int, k: int, excluded: Pattern, n: int) -> CyclicPerm:
     return canonicalize(LinearPerm(word + tail))
 
 
-def _find_avoider(forbidden: frozenset[tuple[int, ...]], k: int, n: int,
-                  budget: int) -> tuple[tuple[int, ...] | None, int]:
-    """Depth-first search for one length-n cyclic permutation none of whose
-    k-windows reduces to a forbidden tuple. Returns (witness, nodes)."""
-    if n < k:
-        return (tuple(range(1, n + 1)), 0)
-    if k == 1 and forbidden:
-        return (None, 0)  # the only length-1 window value is forbidden
-    nodes = 0
-    word = [1]
-    used = [False] * (n + 1)
-    used[1] = True
-
-    def extend() -> tuple[int, ...] | None:
-        nonlocal nodes
-        m = len(word)
-        if m == n:
-            for s in range(n - k + 1, n):
-                window = tuple(word[s:]) + tuple(word[: k - (n - s)])
-                if reduce_window(window) in forbidden:
-                    return None
-            return tuple(word)
-        for v in range(2, n + 1):
-            if used[v]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded("window search budget exceeded", nodes)
-            word.append(v)
-            used[v] = True
-            ok = len(word) < k or reduce_window(word[-k:]) not in forbidden
-            if ok:
-                found = extend()
-                if found is not None:
-                    word.pop()
-                    used[v] = False
-                    return found
-            word.pop()
-            used[v] = False
-        return None
-
-    return extend(), nodes
-
-
 def find_avoider(pset: PatternSet, n: int, *, budget: int = DEFAULT_SEARCH_BUDGET) -> CyclicPerm | None:
-    """First avoider of a totally vincular cyclic pattern set, or None if Av_n is empty."""
-    if pset.patterns:
-        if pset.kind != CYCLIC or not all(p.totally_vincular for p in pset.patterns):
-            raise ValueError("find_avoider requires totally vincular cyclic patterns")
-        k = pset.k
-        forbidden = frozenset(p.values for p in pset.patterns)
-    else:
-        k, forbidden = 2, frozenset()
-    word, _nodes = _find_avoider(forbidden, k, n, budget)
-    return None if word is None else CyclicPerm(LinearPerm(word))
+    """Lexicographically first avoider of a totally vincular cyclic pattern
+    set, or None if Av_n is empty.
+
+    The search stops at its first leaf; it raises BudgetExceededError once it
+    has visited more than `budget` nodes.
+    """
+    if pset.patterns and (pset.kind != CYCLIC
+                          or not all(p.totally_vincular for p in pset.patterns)):
+        raise ValueError("find_avoider requires totally vincular cyclic patterns")
+    return next(enumerate_avoiders(pset, n, budget=budget), None)
 
 
 @dataclass
@@ -197,14 +157,12 @@ class AvoidabilityReport:
 
     @property
     def empty_suffix_start(self) -> int | None:
-        """Smallest n0 with Av_n empty for all n0 <= n <= horizon, if any."""
-        start = None
-        for n in range(self.k, self.horizon + 1):
-            if self.nonempty[n]:
-                start = None
-            elif start is None:
-                start = n
-        return start
+        """Smallest n0 with Av_n empty for all n0 <= n <= horizon, if that
+        empty suffix covers at least two lengths."""
+        start = self.horizon + 1
+        while start > self.k and not self.nonempty[start - 1]:
+            start -= 1
+        return start if start < self.horizon else None
 
     @property
     def horizon_unavoidable(self) -> bool:
@@ -285,8 +243,10 @@ def classify_minimal_unavoidable(k: int, horizon: int, *,
     Subsets are visited in increasing size; any superset of a recorded set is
     pruned, so every set recorded is minimal among horizon-unavoidable sets.
     For k >= 4 the lattice is huge: pass max_subsets to bound the scan (the
-    report is then marked incomplete). Emptiness is tested at n = horizon
-    only, since emptiness at the horizon is what a nonempty empty-suffix means.
+    report is then marked incomplete). A subset counts when Av_n is empty at
+    n = horizon and at n = horizon - 1, the shortest empty suffix that
+    `AvoidabilityReport.empty_suffix_start` accepts; the second length is
+    searched only when the first is empty.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -304,11 +264,11 @@ def classify_minimal_unavoidable(k: int, horizon: int, *,
                 complete = False
                 break
             checked += 1
-            forbidden = frozenset(p.values for p in combo)
-            word, _ = _find_avoider(forbidden, k, horizon, budget)
-            if word is None:
+            pset = PatternSet(s)
+            if (find_avoider(pset, horizon, budget=budget) is None
+                    and find_avoider(pset, horizon - 1, budget=budget) is None):
                 found.append(s)
-                minimal_sets.append([str(p) for p in PatternSet(s)])
+                minimal_sets.append(pset.texts())
         if not complete:
             break
     smallest = min((len(s) for s in found), default=None)

@@ -141,6 +141,9 @@ FORMULA_NAMES = {
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
+    if args.name == "catalan-triangle" and args.k is None:
+        print("error: catalan-triangle needs --k", file=sys.stderr)
+        return EXIT_USAGE
     value = FORMULA_NAMES[args.name](args)
     if isinstance(value, float):
         print(f"{value!r}  # float approximation, {args.terms} terms each side")

@@ -1,18 +1,40 @@
 """Exact enumeration of cyclic avoidance classes.
 
-The search backtracks over sigma_2..sigma_n with sigma_1 = 1 fixed, so the
-leaves are exactly the (n-1)! canonical cyclic permutations in lexicographic
-order. A prefix is rejected as soon as it contains a linear occurrence of any
-wrap-free representative of a forbidden pattern: appending at the end never
-disturbs adjacencies or relative order already present, so such an occurrence
+One backtracking engine, `_Search`, answers every question about Av_n:
+counting, listing, and finding a first avoider all read its leaves. It
+extends sigma_2..sigma_n with sigma_1 = 1 fixed, so the leaves are exactly
+the (n-1)! canonical cyclic permutations in lexicographic order. A prefix is
+rejected as soon as it contains a linear occurrence of any wrap-free
+representative of a forbidden pattern: appending at the end never disturbs
+adjacencies or relative order already present, so such an occurrence
 survives into every completion. Occurrences crossing the rotation seam are
 only checkable once the permutation is complete; they are found on the
 doubled word under a span guard (an occurrence may go around the circle at
 most once), which the tests validate against the rotation-scanning matcher.
 
-The search forest is split into n-1 shards by the value of sigma_2; shard
-results are combined in shard order, so counts are independent of the number
-of worker processes.
+Totally vincular patterns are checked by window lookup: the reduction of the
+last k entries against the forbidden value tuples, and the k-1 windows
+across the seam of a leaf. Every other pattern is compiled once into
+placement programs: for the prefix check, per wrap-free representative, the
+last block (anchored at the end of the word) and then the other blocks from
+left to right; for the seam check, the canonical representative's blocks
+from left to right. Each program entry names the already placed entries
+holding its nearest smaller and nearest larger pattern values, so the order
+check of a new host value is two comparisons (the encoding of Kubica et al.,
+"A linear time algorithm for consecutive permutation pattern matching",
+IPL 2013). `matcher` shares none of this code and stays the oracle.
+
+The search forest is split into n-1 shards by the value of sigma_2, and
+`_Search.leaves(v2)` streams the avoiders of one shard. One search object
+walks the shards in order and counts nodes (prefixes visited, the root once
+per shard) across all of them, so the node budget is global:
+BudgetExceededError is raised when the running total first exceeds the
+budget, and reports nodes = budget + 1. With jobs > 1 the shards run in
+worker processes and their (avoiders, nodes) results are combined in shard
+order under the same rule, so counts, budget outcomes and reported node
+counts do not depend on the number of workers. Enumeration yields each
+avoider as soon as it is found, so a caller that stops early pays only for
+the nodes visited so far.
 """
 
 from __future__ import annotations
@@ -21,11 +43,11 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
-from .matcher import _blocks_of, avoids_set
-from .patterns import PatternSet, CYCLIC
-from .perms import CyclicPerm, LinearPerm, all_cyclic_perms
+from .matcher import avoids_set
+from .patterns import CYCLIC, LINEAR, Pattern, PatternSet
+from .perms import CyclicPerm, LinearPerm, all_cyclic_perms, reduce_window
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -42,262 +64,147 @@ class BudgetExceededError(RuntimeError):
         self.n_reached = n_reached
         self.partial = partial
 
-
-class _Rep(NamedTuple):
-    """One linear representative, preprocessed for the occurrence searches."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    k: int
-    rest: tuple[tuple[int, ...], ...]  # blocks without the final one
-    rest_rooms: tuple[int, ...]
-    tail: tuple[tuple[int, ...], ...]  # blocks without the first one
-    tail_rooms: tuple[int, ...]
+    def __reduce__(self):
+        # workers send this error back to the pool's parent process
+        return type(self), (self.args[0], self.nodes, self.n_reached, self.partial)
 
 
-def _rooms(blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    acc = 0
-    out = [0] * len(blocks)
-    for bi in range(len(blocks) - 1, -1, -1):
-        out[bi] = acc
-        acc += len(blocks[bi])
-    return tuple(out)
+# A placement program is a tuple of steps (width, room, entries), one per
+# block in placement order; room is the total width of the later steps. An
+# entry (slot, lo, hi) stores its host value in h[slot], which must lie
+# strictly between h[lo] and h[hi]: the host values of the nearest smaller and
+# nearest larger pattern values placed before it. Slots 0 and 1 hold the
+# sentinels 0 and n + 1; the entries use slots 2, 3, ... in program order.
+_Program = tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]
 
 
-def _compile_rep(values: tuple[int, ...], bonds: frozenset[int]) -> _Rep:
-    blocks = tuple(_blocks_of(values, bonds))
-    rest = blocks[:-1]
-    tail = blocks[1:]
-    return _Rep(blocks, len(values), rest, _rooms(rest), tail, _rooms(tail))
+def _program(blocks: Sequence[tuple[int, ...]]) -> _Program:
+    """Compile blocks, given in placement order, into a placement program."""
+    placed: list[int] = []
+    steps = []
+    room = sum(map(len, blocks))
+    for block in blocks:
+        room -= len(block)
+        entries = []
+        for pv in block:
+            below = [(q, slot) for slot, q in enumerate(placed, 2) if q < pv]
+            above = [(q, slot) for slot, q in enumerate(placed, 2) if q > pv]
+            entries.append((len(placed) + 2, max(below)[1] if below else 0,
+                            min(above)[1] if above else 1))
+            placed.append(pv)
+        steps.append((len(block), room, tuple(entries)))
+    return tuple(steps)
 
 
-def _compile_prune_reps(pset: PatternSet) -> list[_Rep]:
-    """Every wrap-free linear representative of every pattern."""
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    reps: list[_Rep] = []
-    for p in sorted(pset.patterns, key=lambda q: (q.values, sorted(q.bonds))):
-        for values, bonds in p.wrap_free_reps():
-            key = (values, tuple(sorted(bonds)))
-            if key in seen:
-                continue
-            seen.add(key)
-            reps.append(_compile_rep(values, bonds))
-    return reps
-
-
-def _place_blocks(word: Sequence[int], blocks: tuple[tuple[int, ...], ...],
-                  bi: int, start: int, stop: int,
-                  pv_list: list[int], hv_list: list[int],
-                  min_last: int, rooms: tuple[int, ...]) -> bool:
-    """Place blocks[bi:] into word[start:stop] consistently with chosen pairs.
-
-    min_last, when positive, requires the last position used to be at least
-    that index (the seam check uses it to force a crossing).
-    """
-    block = blocks[bi]
-    width = len(block)
-    is_last = bi + 1 == len(blocks)
-    lo = start
-    if is_last and min_last > 0 and lo < min_last - width + 1:
-        lo = min_last - width + 1
-    for s in range(lo, stop - width - rooms[bi] + 1):
-        added = 0
-        ok = True
-        for t in range(width):
-            pv = block[t]
-            hv = word[s + t]
-            for i in range(len(pv_list)):
-                if (pv < pv_list[i]) != (hv < hv_list[i]):
-                    ok = False
-                    break
-            if not ok:
-                break
-            pv_list.append(pv)
-            hv_list.append(hv)
-            added += 1
-        if ok and (is_last or _place_blocks(word, blocks, bi + 1, s + width, stop,
-                                            pv_list, hv_list, min_last, rooms)):
-            return True
-        if added:
-            del pv_list[-added:]
-            del hv_list[-added:]
-    return False
-
-
-def _block_fits(word: Sequence[int], block: tuple[int, ...], s: int,
-                pv_list: list[int], hv_list: list[int]) -> bool:
-    """Is the block, laid down at position s, order-consistent with the chosen
-    pairs and internally? Does not mutate the pair lists."""
-    for t in range(len(block)):
-        pv = block[t]
-        hv = word[s + t]
-        for i in range(len(pv_list)):
-            if (pv < pv_list[i]) != (hv < hv_list[i]):
-                return False
-        for u in range(t):
-            if (pv < block[u]) != (hv < word[s + u]):
-                return False
-    return True
-
-
-def _completes_at_end(word: Sequence[int], rep: _Rep) -> bool:
-    """Does an occurrence of the representative end at the last element of word?"""
-    m = len(word)
-    if m < rep.k:
-        return False
-    last = rep.blocks[-1]
-    s0 = m - len(last)
-    pv_list: list[int] = []
-    hv_list: list[int] = []
-    for t in range(len(last)):
-        pv = last[t]
-        hv = word[s0 + t]
-        for i in range(len(pv_list)):
-            if (pv < pv_list[i]) != (hv < hv_list[i]):
-                return False
-        pv_list.append(pv)
-        hv_list.append(hv)
-    rest = rep.rest
-    nrest = len(rest)
-    if nrest == 0:
-        return True
-    b0 = rest[0]
-    w0 = len(b0)
-    if nrest == 1:
-        for s in range(0, s0 - w0 + 1):
-            if _block_fits(word, b0, s, pv_list, hv_list):
-                return True
-        return False
-    if nrest == 2:
-        b1 = rest[1]
-        w1 = len(b1)
-        for s in range(0, s0 - w0 - w1 + 1):
-            if _block_fits(word, b0, s, pv_list, hv_list):
-                for t in range(w0):
-                    pv_list.append(b0[t])
-                    hv_list.append(word[s + t])
-                for s2 in range(s + w0, s0 - w1 + 1):
-                    if _block_fits(word, b1, s2, pv_list, hv_list):
-                        del pv_list[-w0:]
-                        del hv_list[-w0:]
-                        return True
-                del pv_list[-w0:]
-                del hv_list[-w0:]
-        return False
-    return _place_blocks(word, rest, 0, 0, s0, pv_list, hv_list, 0, rep.rest_rooms)
-
-
-def _has_seam_occurrence(word: tuple[int, ...], rep: _Rep) -> bool:
-    """Occurrence of the representative that crosses the rotation seam.
-
-    Searched on the doubled word: first position in 1..n-1, last position at
-    least n, total span at most n-1 so the circle is traversed at most once.
-    Occurrences with the first position at 0 lie inside the word itself and
-    are someone else's responsibility.
-    """
-    n = len(word)
-    if n < rep.k:
-        return False
-    word2 = word + word
-    first = rep.blocks[0]
-    w0 = len(first)
-    # a single-block occurrence ends at s1 + k - 1, so it can only cross when
-    # s1 >= n - k + 1; multi-block occurrences can start anywhere after 0
-    lo = 1 if rep.tail else max(1, n - rep.k + 1)
-    pv_list: list[int] = []
-    hv_list: list[int] = []
-    for s1 in range(lo, n):
-        ok = True
-        added = 0
-        for t in range(w0):
-            pv = first[t]
-            hv = word2[s1 + t]
-            for i in range(len(pv_list)):
-                if (pv < pv_list[i]) != (hv < hv_list[i]):
-                    ok = False
-                    break
-            if not ok:
-                break
-            pv_list.append(pv)
-            hv_list.append(hv)
-            added += 1
-        if ok:
-            if not rep.tail:
-                if s1 + w0 - 1 >= n:
-                    del pv_list[:]
-                    del hv_list[:]
-                    return True
-            elif _place_blocks(word2, rep.tail, 0, s1 + w0, s1 + n,
-                               pv_list, hv_list, n, rep.tail_rooms):
-                del pv_list[:]
-                del hv_list[:]
-                return True
-        if added:
-            del pv_list[-added:]
-            del hv_list[-added:]
-    return False
-
-
-def _seam_clean(word: tuple[int, ...], seam_reps: Sequence[_Rep]) -> bool:
-    for rep in seam_reps:
-        if _has_seam_occurrence(word, rep):
+def _fits(word: Sequence[int], s: int, entries: tuple[tuple[int, int, int], ...],
+          h: list[int]) -> bool:
+    """Lay one block's entries on word[s:], recording the host values in h."""
+    for slot, lo, hi in entries:
+        v = word[s]
+        if not h[lo] < v < h[hi]:
             return False
+        h[slot] = v
+        s += 1
     return True
+
+
+def _place_blocks(word: Sequence[int], prog: _Program, bi: int, start: int, stop: int,
+                  h: list[int], min_end: int) -> bool:
+    """Place steps bi.. of the program, left to right, into word[start:stop];
+    the last block must end at position min_end or later."""
+    width, room, entries = prog[bi]
+    last = bi + 1 == len(prog)
+    if last:
+        start = max(start, min_end - width + 1)
+    for s in range(start, stop - width - room + 1):
+        if _fits(word, s, entries, h) and (
+                last or _place_blocks(word, prog, bi + 1, s + width, stop, h, min_end)):
+            return True
+    return False
+
+
+def _ends_at_last(word: Sequence[int], prog: _Program, h: list[int]) -> bool:
+    """Does an occurrence end at the last entry of the word? The program
+    starts with the pattern's last block, anchored there."""
+    width, room, entries = prog[0]
+    s0 = len(word) - width
+    return (s0 >= room and _fits(word, s0, entries, h)
+            and _place_blocks(word, prog, 1, 0, s0, h, 0))
+
+
+def _crosses_seam(word2: Sequence[int], n: int, prog: _Program, h: list[int]) -> bool:
+    """Occurrence in the doubled word with its first position in 1..n-1, its
+    last position at n or later and a span of at most n-1. Occurrences with
+    the first position at 0 lie inside the word and are the prefix check's."""
+    width, _room, entries = prog[0]
+    for s in range(1, n):
+        if _fits(word2, s, entries, h) and _place_blocks(word2, prog, 1, s + width, s + n, h, n):
+            return True
+    return False
 
 
 class _Search:
-    """One shard of the backtracking search (sigma_2 fixed, or free for n<=1)."""
+    """The backtracking engine for one pattern set and length n."""
 
     def __init__(self, pset: PatternSet, n: int, budget: int | None):
         self.n = n
-        self.prune_reps = _compile_prune_reps(pset)
-        self.seam_reps = [_compile_rep(p.values, p.bonds) for p in pset]
-        self.budget = budget if budget is not None else DEFAULT_BUDGET
+        self.budget = DEFAULT_BUDGET if budget is None else budget
         self.nodes = 0
+        self.k = pset.k or 0
+        self.forbidden = frozenset(p.values for p in pset.patterns if p.totally_vincular)
+        general = [p for p in pset.patterns if not p.totally_vincular]
+        self.prune = []
+        for p in general:
+            for values, bonds in p.wrap_free_reps():
+                blocks = Pattern(values, bonds, LINEAR).blocks()
+                self.prune.append(_program(blocks[-1:] + blocks[:-1]))
+        self.seam = [_program(p.blocks()) for p in general]
+        self.h = [0, n + 1] + [0] * self.k
 
-    def run(self, v2: int | None, emit: Callable[[tuple[int, ...]], None]) -> None:
-        n = self.n
-        word = [1]
+    def leaves(self, v2: int | None) -> Iterator[tuple[int, ...]]:
+        """Yield the avoiders with sigma_2 = v2 (v2 is None when n = 1) in
+        lexicographic order. The search keeps its stack of candidate
+        iterators explicitly, so it can stop at any leaf."""
+        n, k, budget = self.n, self.k, self.budget
+        forbidden, prune, h = self.forbidden, self.prune, self.h
+        word: list[int] = []
         used = [False] * (n + 1)
-        used[1] = True
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError("node budget exceeded", self.nodes, n)
-        for rep in self.prune_reps:
-            if _completes_at_end(word, rep):
-                return
-        if n == 1:
-            emit((1,))
-            return
-        assert v2 is not None
-        self._extend(word, used, v2, emit)
-
-    def _extend(self, word: list[int], used: list[bool], forced: int | None,
-                emit: Callable[[tuple[int, ...]], None]) -> None:
-        n = self.n
-        reps = self.prune_reps
-        candidates = (forced,) if forced is not None else range(2, n + 1)
-        for v in candidates:
-            if used[v]:
+        stack: list[Iterator[int]] = [iter((1,))]
+        while stack:
+            for v in stack[-1]:
+                if not used[v]:
+                    break
+            else:
+                stack.pop()
+                if word:
+                    used[word.pop()] = False
                 continue
             word.append(v)
             used[v] = True
             self.nodes += 1
-            if self.nodes > self.budget:
+            if self.nodes > budget:
                 raise BudgetExceededError("node budget exceeded", self.nodes, n)
-            hit = False
-            for rep in reps:
-                if _completes_at_end(word, rep):
-                    hit = True
-                    break
-            if not hit:
-                if len(word) == n:
-                    w = tuple(word)
-                    if _seam_clean(w, self.seam_reps):
-                        emit(w)
-                else:
-                    self._extend(word, used, None, emit)
-            word.pop()
-            used[v] = False
+            m = len(word)
+            if not ((forbidden and m >= k and reduce_window(word[-k:]) in forbidden)
+                    or (prune and any(_ends_at_last(word, prog, h) for prog in prune))):
+                if m < n:
+                    stack.append(iter((v2,) if m == 1 else range(2, n + 1)))
+                    continue
+                if self.seam_clean(word):
+                    yield tuple(word)
+            used[word.pop()] = False
+
+    def seam_clean(self, word: Sequence[int]) -> bool:
+        """No occurrence of a pattern crosses the seam of the complete word."""
+        n, k = len(word), self.k
+        if n < k:
+            return True
+        word2 = [*word, *word]
+        if self.forbidden:
+            for s in range(n - k + 1, n):
+                if reduce_window(word2[s:s + k]) in self.forbidden:
+                    return False
+        return not any(_crosses_seam(word2, n, prog, self.h) for prog in self.seam)
 
 
 def _validate(pset: PatternSet, n: int) -> None:
@@ -312,48 +219,45 @@ def _shards(n: int) -> list[int | None]:
 
 
 def _count_shard(pset: PatternSet, n: int, v2: int | None, budget: int | None) -> tuple[int, int]:
+    """(avoiders, nodes) of one shard under a search of its own: the unit of
+    work of a pool worker."""
     search = _Search(pset, n, budget)
-    hits = 0
-
-    def emit(_word: tuple[int, ...]) -> None:
-        nonlocal hits
-        hits += 1
-
-    search.run(v2, emit)
-    return hits, search.nodes
+    return sum(1 for _ in search.leaves(v2)), search.nodes
 
 
 def count_avoiders(pset: PatternSet, n: int, *, jobs: int = 1,
                    budget: int | None = None) -> int:
-    """|Av_n| for a set of cyclic patterns: canonical cyclic permutations avoiding all."""
+    """|Av_n| for a set of cyclic patterns: canonical cyclic permutations avoiding all.
+
+    The node budget covers all shards together, for every number of jobs.
+    """
     _validate(pset, n)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     shards = _shards(n)
-    total = 0
-    nodes = 0
-    if jobs > 1 and len(shards) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_count_shard, *zip(*[(pset, n, v2, budget) for v2 in shards])))
-    else:
-        results = []
-        for v2 in shards:
-            remaining = None if budget is None else budget - nodes
-            if remaining is not None and remaining <= 0:
-                raise BudgetExceededError("node budget exceeded", nodes, n)
-            hits, used = _count_shard(pset, n, v2, remaining)
-            results.append((hits, used))
+    if jobs == 1 or len(shards) == 1:
+        search = _Search(pset, n, budget)
+        return sum(1 for v2 in shards for _ in search.leaves(v2))
+    limit = DEFAULT_BUDGET if budget is None else budget
+    total = nodes = 0
+    with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
+        # a shard over the budget on its own raises in its worker, with the
+        # same nodes = limit + 1 as below
+        for hits, used in pool.map(_count_shard, *zip(*[(pset, n, v2, budget) for v2 in shards])):
+            total += hits
             nodes += used
-    for hits, _used in results:
-        total += hits
+            if nodes > limit:
+                raise BudgetExceededError("node budget exceeded", limit + 1, n)
     return total
 
 
 def enumerate_avoiders(pset: PatternSet, n: int, *, budget: int | None = None) -> Iterator[CyclicPerm]:
-    """Yield the avoiders in lexicographic order of canonical form."""
+    """Yield the avoiders in lexicographic order of canonical form, each as
+    soon as the search reaches it."""
     _validate(pset, n)
+    search = _Search(pset, n, budget)
     for v2 in _shards(n):
-        out: list[tuple[int, ...]] = []
-        _Search(pset, n, budget).run(v2, out.append)
-        for word in out:
+        for word in search.leaves(v2):
             yield CyclicPerm(LinearPerm(word))
 
 

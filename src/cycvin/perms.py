@@ -152,7 +152,7 @@ def reduce(seq: Iterable[int]) -> LinearPerm:
 def reduce_window(vals: Sequence[int]) -> tuple[int, ...]:
     """Reduction of a short window of distinct values, as a raw tuple."""
     order = sorted(vals)
-    return tuple(order.index(v) + 1 for v in vals)
+    return tuple([order.index(v) + 1 for v in vals])
 
 
 def canonicalize(p: LinearPerm) -> CyclicPerm:

@@ -15,6 +15,7 @@ from cycvin.avoidability import (
     rotation_closure_complement,
     witness_minus_one,
 )
+from cycvin.enumeration import BudgetExceededError
 from cycvin.matcher import avoids_set
 from cycvin.patterns import PatternSet, all_totally_vincular, parse_pattern
 from cycvin.perms import LinearPerm
@@ -102,6 +103,12 @@ def test_min_at_sets_are_horizon_empty():
                 assert find_avoider(s, n) is None
 
 
+def test_find_avoider_budget_error():
+    with pytest.raises(BudgetExceededError) as info:
+        find_avoider(patterns_with_min_at(1, 3), 9, budget=10)
+    assert info.value.nodes == 11
+
+
 def test_find_avoider_requires_totally_vincular():
     with pytest.raises(ValueError, match="totally vincular"):
         find_avoider(PatternSet.from_texts("[1~2,3]"), 5)
@@ -121,11 +128,13 @@ def test_avoidable_up_to_reports():
     rep = avoidable_up_to(max_avoidable_set(3), 12)
     assert all(rep.nonempty.values())
 
-    # the alternating pair is empty at odd lengths but revives at even ones
-    rep = avoidable_up_to(PatternSet.from_texts("[1~2~3]", "[3~2~1]"), 10)
-    assert rep.nonempty == {3: False, 4: True, 5: False, 6: True, 7: False,
-                            8: True, 9: False, 10: True}
-    assert not rep.horizon_unavoidable
+    # the alternating pair is empty at odd lengths but revives at even ones,
+    # so a single empty length at an odd horizon is no empty suffix
+    for horizon in (9, 10):
+        rep = avoidable_up_to(PatternSet.from_texts("[1~2~3]", "[3~2~1]"), horizon)
+        assert rep.nonempty == {n: n % 2 == 0 for n in range(3, horizon + 1)}
+        assert rep.empty_suffix_start is None
+        assert not rep.horizon_unavoidable
 
     with pytest.raises(ValueError, match="horizon"):
         avoidable_up_to(patterns_with_min_at(1, 3), 2)
@@ -140,21 +149,24 @@ def test_report_json_is_horizon_labeled():
 
 
 def test_classification_k3():
-    cls = classify_minimal_unavoidable(3, 8)
-    assert cls.complete
-    assert cls.smallest_size == 2
-    assert cls.min_size_conjecture_consistent
+    # the odd horizon 9 must not add the alternating pair, which is empty
+    # only at odd lengths
     expected = sorted(
         tuple(sorted(str(p) for p in s))
         for s in [patterns_with_min_at(i, 3) for i in (1, 2, 3)]
         + [patterns_with_max_at(i, 3) for i in (1, 2, 3)]
     )
-    assert sorted(tuple(s) for s in cls.minimal_sets) == expected
-    # antichain bound: C(6, 3) = 20
-    assert len(cls.minimal_sets) <= 20
-    data = json.loads(cls.to_json())
-    assert data["horizon_relative"] is True
-    assert data["smallest_size"] == 2
+    for horizon in (8, 9):
+        cls = classify_minimal_unavoidable(3, horizon)
+        assert cls.complete
+        assert cls.smallest_size == 2
+        assert cls.min_size_conjecture_consistent
+        assert sorted(tuple(s) for s in cls.minimal_sets) == expected
+        # antichain bound: C(6, 3) = 20
+        assert len(cls.minimal_sets) <= 20
+        data = json.loads(cls.to_json())
+        assert data["horizon_relative"] is True
+        assert data["smallest_size"] == 2
 
 
 def test_classification_bounded_scan_is_marked_incomplete():

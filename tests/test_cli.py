@@ -62,6 +62,12 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_bad_jobs_exit_code(capsys):
+    code, _, err = run(capsys, "count", "--set", "[1~3,2,4]", "--n", "6", "--jobs", "0")
+    assert code == 2
+    assert "jobs" in err
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--set", "[1~2,3]", "--n", "5", "--jobs", "1")
     assert code == 0
@@ -93,6 +99,11 @@ def test_formula(capsys):
 def test_formula_domain_error(capsys):
     code, _, err = run(capsys, "formula", "bond12-34", "--n", "1")
     assert code == 2 and "error" in err
+
+
+def test_formula_missing_k(capsys):
+    code, _, err = run(capsys, "formula", "catalan-triangle", "--n", "5")
+    assert code == 2 and "--k" in err
 
 
 def test_table_pass(capsys):

@@ -158,10 +158,13 @@ def test_requires_cyclic_patterns():
 
 def test_seam_search_agrees_with_rotation_matcher():
     # cyclic containment decomposes into an in-word occurrence plus a
-    # seam-crossing one; the doubled-word search (with its span guard) must
-    # account for exactly the second kind on every host, not just pruned
-    # leaves, when compared against the rotation-scanning matcher
-    from cycvin.enumeration import _compile_rep, _has_seam_occurrence
+    # seam-crossing one; the engine's seam check (window lookups for totally
+    # vincular patterns, the doubled-word placement program with its span
+    # guard for the rest) must account for exactly the second kind on every
+    # host, not just pruned leaves, when compared against the
+    # rotation-scanning matcher. Patterns whose canonical form does not start
+    # with 1 are the ones that can match across the seam in a single block.
+    from cycvin.enumeration import _Search
     from cycvin.matcher import _contains_cyclic_rep, _occurrences_word
     from cycvin.perms import all_cyclic_perms
     from cycvin.patterns import parse_pattern
@@ -169,13 +172,88 @@ def test_seam_search_agrees_with_rotation_matcher():
     pats = [parse_pattern(t) for t in (
         "[1~2,3]", "[1~3,2]", "[1~2~3]", "[1~3~2]", "[1,2,3]",
         "[1~2,3,4]", "[1~3,4,2]", "[2~3,1,4]", "[1~2~3,4]", "[1~2,3~4]", "[1~2~3~4]",
+        "[2~3~1]", "[3~1~2]", "[2~1,3]", "[2,3~1]",
     )]
     for n in range(1, 8):
+        searches = [(p, _Search(PatternSet(frozenset({p})), n, None)) for p in pats]
         for c in all_cyclic_perms(n):
             word = c.canonical.values
-            for p in pats:
-                rep = _compile_rep(p.values, p.bonds)
+            for p, search in searches:
                 by_rotations = _contains_cyclic_rep(c, p.values, p.bonds)
                 interior = next(_occurrences_word(word, p.values, p.bonds), None) is not None
-                assert by_rotations == (interior or _has_seam_occurrence(word, rep)), (
+                assert by_rotations == (interior or not search.seam_clean(word)), (
                     str(c), str(p))
+
+
+@pytest.mark.parametrize("texts, n, nodes", [
+    (("[1~3,2,4]",), 8, 5124),
+    (("[2~3,4,1]",), 8, 5901),
+    (("[1~2~3]", "[2~3~1]"), 9, 17664),
+    (("[1~2~3]", "[3~2~1]"), 9, 10480),
+])
+def test_node_totals_are_pinned(texts, n, nodes):
+    # a change of pruning strength shows here; one search object walking all
+    # shards counts the same nodes as a fresh search per shard
+    from cycvin.enumeration import _count_shard, _Search, _shards
+
+    s = PatternSet.from_texts(*texts)
+    assert sum(_count_shard(s, n, v2, None)[1] for v2 in _shards(n)) == nodes
+    search = _Search(s, n, None)
+    assert sum(1 for v2 in _shards(n) for _ in search.leaves(v2)) == count_avoiders(s, n)
+    assert search.nodes == nodes
+
+
+def test_enumerate_streams_under_a_small_budget():
+    # the first avoider is the increasing word, reached after n nodes; the
+    # search must not walk the rest of its shard before yielding it
+    first = next(enumerate_avoiders(PatternSet.from_texts("[1~3,2,4]"), 8, budget=200))
+    assert first.canonical.values == tuple(range(1, 9))
+
+
+def _budget_outcome(s, n, budget, jobs):
+    try:
+        return "count", count_avoiders(s, n, jobs=jobs, budget=budget)
+    except BudgetExceededError as exc:
+        return "budget", exc.nodes
+
+
+def test_budget_is_global_across_jobs():
+    # at budget 100 the first shard alone is over the budget, so the error is
+    # raised in a worker and must come back through the pool
+    s = PatternSet.from_texts("[1~3,2,4]")
+    for budget in (100, 5000):
+        one = _budget_outcome(s, 8, budget, 1)
+        assert one == ("budget", budget + 1)
+        assert _budget_outcome(s, 8, budget, 2) == one
+    assert _budget_outcome(s, 8, 5124, 2) == _budget_outcome(s, 8, 5124, 1) == ("count", 429)
+
+
+def test_worker_count_is_capped_by_shards(monkeypatch):
+    # a fake executor records the requested workers and runs the shards in
+    # this process, so no large pool is ever started
+    from cycvin import enumeration
+
+    requested = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
+    s = PatternSet.from_texts("[1~3,2,4]")
+    assert count_avoiders(s, 6, jobs=64) == 42
+    assert requested == [5]
+    with pytest.raises(BudgetExceededError) as info:
+        count_avoiders(s, 8, jobs=64, budget=1000)
+    assert info.value.nodes == 1001
+    with pytest.raises(ValueError, match="jobs"):
+        count_avoiders(s, 6, jobs=0)
