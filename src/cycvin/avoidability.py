@@ -28,8 +28,6 @@ from .enumeration import enumerate_avoiders
 from .patterns import CYCLIC, Pattern, PatternSet, all_totally_vincular
 from .perms import CyclicPerm, LinearPerm, canonicalize
 
-DEFAULT_SEARCH_BUDGET = 20_000_000
-
 
 def _totally_vincular_cyclic(values: tuple[int, ...]) -> Pattern:
     k = len(values)
@@ -132,12 +130,12 @@ def witness_minus_one(i: int, k: int, excluded: Pattern, n: int) -> CyclicPerm:
     return canonicalize(LinearPerm(word + tail))
 
 
-def find_avoider(pset: PatternSet, n: int, *, budget: int = DEFAULT_SEARCH_BUDGET) -> CyclicPerm | None:
+def find_avoider(pset: PatternSet, n: int, *, budget: int | None = None) -> CyclicPerm | None:
     """Lexicographically first avoider of a totally vincular cyclic pattern
     set, or None if Av_n is empty.
 
     The search stops at its first leaf; it raises BudgetExceededError once it
-    has visited more than `budget` nodes.
+    has visited more than `budget` nodes (by default DEFAULT_BUDGET).
     """
     if pset.patterns and (pset.kind != CYCLIC
                           or not all(p.totally_vincular for p in pset.patterns)):
@@ -183,7 +181,7 @@ class AvoidabilityReport:
 
 
 def avoidable_up_to(pset: PatternSet, horizon: int, *,
-                    budget: int = DEFAULT_SEARCH_BUDGET) -> AvoidabilityReport:
+                    budget: int | None = None) -> AvoidabilityReport:
     """Check emptiness of Av_n for each k <= n <= horizon.
 
     The answer is horizon-relative evidence, never a proof of unavoidability.
@@ -236,7 +234,7 @@ class ClassificationReport:
 
 def classify_minimal_unavoidable(k: int, horizon: int, *,
                                  max_subsets: int | None = None,
-                                 budget: int = DEFAULT_SEARCH_BUDGET) -> ClassificationReport:
+                                 budget: int | None = None) -> ClassificationReport:
     """Find all minimal subsets of the totally vincular length-k patterns whose
     avoidance class is empty at the horizon.
 

@@ -25,33 +25,32 @@ check of a new host value is two comparisons (the encoding of Kubica et al.,
 IPL 2013). `matcher` shares none of this code and stays the oracle.
 
 The search forest is split into n-1 shards by the value of sigma_2, and
-`_Search.leaves(v2)` streams the avoiders of one shard. One search object
-walks the shards in order and counts nodes (prefixes visited, the root once
-per shard) across all of them, so the node budget is global:
-BudgetExceededError is raised when the running total first exceeds the
-budget, and reports nodes = budget + 1. With jobs > 1 the shards run in
-worker processes and their (avoiders, nodes) results are combined in shard
-order under the same rule, so counts, budget outcomes and reported node
-counts do not depend on the number of workers. Enumeration yields each
-avoider as soon as it is found, so a caller that stops early pays only for
-the nodes visited so far.
+`_Search.leaves(v2)` streams the avoiders of one shard. Counts and refined
+counts share one shard driver, in which a shard's tally is its number of
+avoiders or a Counter of a `STATS` statistic. One search object walks the
+shards in order and counts nodes (the root once per shard) across all of
+them, so the node budget is global: BudgetExceededError is raised when the
+running total first exceeds the budget, with nodes = budget + 1. With
+jobs > 1 the shards run in worker processes and their (tally, nodes) pairs
+are combined in shard order under the same rule, so no result depends on
+the number of workers. Enumeration yields each avoider as soon as it is
+found, so a caller that stops early pays only for the nodes visited so far.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .matcher import avoids_set
-from .patterns import CYCLIC, LINEAR, Pattern, PatternSet
-from .perms import CyclicPerm, LinearPerm, all_cyclic_perms, reduce_window
+from .patterns import CYCLIC, PatternSet, bond_blocks
+from .perms import CyclicPerm, LinearPerm, all_cyclic_perms, reduce_window, zeil_word
 
 DEFAULT_BUDGET = 100_000_000
-
-STAT_NAMES = ("predecessor_of_n", "zeil_reverse")
 
 
 class BudgetExceededError(RuntimeError):
@@ -156,7 +155,7 @@ class _Search:
         self.prune = []
         for p in general:
             for values, bonds in p.wrap_free_reps():
-                blocks = Pattern(values, bonds, LINEAR).blocks()
+                blocks = bond_blocks(values, bonds)
                 self.prune.append(_program(blocks[-1:] + blocks[:-1]))
         self.seam = [_program(p.blocks()) for p in general]
         self.h = [0, n + 1] + [0] * self.k
@@ -206,6 +205,11 @@ class _Search:
                     return False
         return not any(_crosses_seam(word2, n, prog, self.h) for prog in self.seam)
 
+    def tally(self, v2: int | None, stat: str | None) -> int | Counter[int]:
+        """The number of avoiders of one shard, or a Counter of a statistic."""
+        leaves = self.leaves(v2)
+        return sum(1 for _ in leaves) if stat is None else Counter(map(STATS[stat], leaves))
+
 
 def _validate(pset: PatternSet, n: int) -> None:
     if n < 1:
@@ -218,37 +222,42 @@ def _shards(n: int) -> list[int | None]:
     return [None] if n == 1 else list(range(2, n + 1))
 
 
-def _count_shard(pset: PatternSet, n: int, v2: int | None, budget: int | None) -> tuple[int, int]:
-    """(avoiders, nodes) of one shard under a search of its own: the unit of
-    work of a pool worker."""
+def _count_shard(pset: PatternSet, n: int, v2: int | None, budget: int | None,
+                 stat: str | None = None) -> tuple[int | Counter[int], int]:
+    """(tally, nodes) of one shard under a search of its own: a pool worker's job."""
     search = _Search(pset, n, budget)
-    return sum(1 for _ in search.leaves(v2)), search.nodes
+    return search.tally(v2, stat), search.nodes
 
 
-def count_avoiders(pset: PatternSet, n: int, *, jobs: int = 1,
-                   budget: int | None = None) -> int:
-    """|Av_n| for a set of cyclic patterns: canonical cyclic permutations avoiding all.
-
-    The node budget covers all shards together, for every number of jobs.
-    """
+def _run_shards(pset: PatternSet, n: int, jobs: int, budget: int | None,
+                stat: str | None = None) -> int | Counter[int]:
+    """Sum of the shard tallies; the node budget covers all shards, for any jobs."""
     _validate(pset, n)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     shards = _shards(n)
+    total: int | Counter[int] = 0 if stat is None else Counter()
     if jobs == 1 or len(shards) == 1:
         search = _Search(pset, n, budget)
-        return sum(1 for v2 in shards for _ in search.leaves(v2))
+        return sum((search.tally(v2, stat) for v2 in shards), total)
     limit = DEFAULT_BUDGET if budget is None else budget
-    total = nodes = 0
+    nodes = 0
+    work = [(pset, n, v2, budget, stat) for v2 in shards]
     with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
         # a shard over the budget on its own raises in its worker, with the
         # same nodes = limit + 1 as below
-        for hits, used in pool.map(_count_shard, *zip(*[(pset, n, v2, budget) for v2 in shards])):
-            total += hits
+        for part, used in pool.map(_count_shard, *zip(*work)):
+            total += part
             nodes += used
             if nodes > limit:
                 raise BudgetExceededError("node budget exceeded", limit + 1, n)
     return total
+
+
+def count_avoiders(pset: PatternSet, n: int, *, jobs: int = 1,
+                   budget: int | None = None) -> int:
+    """|Av_n| for a set of cyclic patterns: canonical cyclic permutations avoiding all."""
+    return _run_shards(pset, n, jobs, budget)
 
 
 def enumerate_avoiders(pset: PatternSet, n: int, *, budget: int | None = None) -> Iterator[CyclicPerm]:
@@ -267,28 +276,32 @@ def count_avoiders_naive(pset: PatternSet, n: int) -> int:
     return sum(1 for c in all_cyclic_perms(n) if avoids_set(c, pset))
 
 
+def _zeil_reverse(word: Sequence[int]) -> int:
+    """CyclicPerm.zeil_reverse, read off the rotation that ends at the maximum."""
+    i = word.index(len(word)) + 1
+    return zeil_word((word[i:] + word[:i])[::-1])
+
+
+# statistics of an avoider, as functions of its canonical word
+STATS: dict[str, Callable[[Sequence[int]], int]] = {
+    "predecessor_of_n": lambda word: word[word.index(len(word)) - 1],
+    "zeil_reverse": _zeil_reverse,
+}
+
+
 def predecessor_of_n(c: CyclicPerm) -> int:
     """The value cyclically preceding the maximum."""
-    word = c.canonical.values
-    return word[word.index(len(word)) - 1]
+    return STATS["predecessor_of_n"](c.canonical.values)
 
 
-def count_refined(pset: PatternSet, n: int, stat: str, *,
+def count_refined(pset: PatternSet, n: int, stat: str, *, jobs: int = 1,
                   budget: int | None = None) -> dict[int, int]:
-    """Counts of avoiders refined by a named statistic."""
-    if stat == "predecessor_of_n":
-        key = predecessor_of_n
-    elif stat == "zeil_reverse":
-        key = CyclicPerm.zeil_reverse
-    else:
-        raise ValueError(f"unknown statistic {stat!r}; expected one of {STAT_NAMES}")
+    """Avoider counts per value of a statistic named in STATS, by increasing value."""
+    if stat not in STATS:
+        raise ValueError(f"unknown statistic {stat!r}; expected one of {tuple(STATS)}")
     if n < 3:
         raise ValueError("refined counts need n >= 3")
-    out: dict[int, int] = {}
-    for c in enumerate_avoiders(pset, n, budget=budget):
-        v = key(c)
-        out[v] = out.get(v, 0) + 1
-    return dict(sorted(out.items()))
+    return dict(sorted(_run_shards(pset, n, jobs, budget, stat).items()))
 
 
 @dataclass
@@ -300,7 +313,6 @@ class CountTable:
     n_max: int
     counts: dict[int, int]
     elapsed_ms: dict[int, float] = field(default_factory=dict)
-    method: str = "enumeration"
     refinement: tuple[str, dict[int, dict[int, int]]] | None = None
 
     def to_csv(self) -> str:
@@ -331,38 +343,24 @@ class CountTable:
 
 def count_range(pset: PatternSet, n_min: int, n_max: int, *, jobs: int = 1,
                 budget: int | None = None, stat: str | None = None) -> CountTable:
-    """Count avoiders for each n in a range; budget failures carry partial results."""
+    """Count avoiders for each n in a range; budget failures carry the partial table."""
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    counts: dict[int, int] = {}
-    elapsed: dict[int, float] = {}
     refined: dict[int, dict[int, int]] = {}
+    table = CountTable(patterns=tuple(pset.texts()), n_min=n_min, n_max=n_max, counts={},
+                       refinement=None if stat is None else (stat, refined))
     for n in range(n_min, n_max + 1):
         t0 = time.perf_counter()
         try:
-            if stat is not None:
-                refined[n] = count_refined(pset, n, stat, budget=budget)
-                counts[n] = sum(refined[n].values())
+            if stat is None:
+                table.counts[n] = count_avoiders(pset, n, jobs=jobs, budget=budget)
             else:
-                counts[n] = count_avoiders(pset, n, jobs=jobs, budget=budget)
+                refined[n] = count_refined(pset, n, stat, jobs=jobs, budget=budget)
+                table.counts[n] = sum(refined[n].values())
         except BudgetExceededError as exc:
-            partial = CountTable(
-                patterns=tuple(pset.texts()),
-                n_min=n_min,
-                n_max=n - 1,
-                counts=counts,
-                elapsed_ms=elapsed,
-                refinement=(stat, refined) if stat is not None else None,
-            )
+            table.n_max = n - 1
             raise BudgetExceededError(
-                f"budget exhausted at n={n}", exc.nodes, n_reached=n - 1, partial=partial
+                f"budget exhausted at n={n}", exc.nodes, n_reached=n - 1, partial=table
             ) from exc
-        elapsed[n] = (time.perf_counter() - t0) * 1000.0
-    return CountTable(
-        patterns=tuple(pset.texts()),
-        n_min=n_min,
-        n_max=n_max,
-        counts=counts,
-        elapsed_ms=elapsed,
-        refinement=(stat, refined) if stat is not None else None,
-    )
+        table.elapsed_ms[n] = (time.perf_counter() - t0) * 1000.0
+    return table

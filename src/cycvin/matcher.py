@@ -10,18 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .patterns import Pattern, PatternSet, CYCLIC, LINEAR
+from .patterns import Pattern, PatternSet, CYCLIC, LINEAR, bond_blocks
 from .perms import CyclicPerm, LinearPerm, reduce_window
-
-
-def _blocks_of(values: tuple[int, ...], bonds: frozenset[int]) -> list[tuple[int, ...]]:
-    blocks: list[list[int]] = [[values[0]]]
-    for j in range(1, len(values)):
-        if j in bonds:
-            blocks[-1].append(values[j])
-        else:
-            blocks.append([values[j]])
-    return [tuple(b) for b in blocks]
 
 
 def _occurrences_word(
@@ -32,7 +22,7 @@ def _occurrences_word(
     k = len(values)
     if m < k:
         return
-    blocks = _blocks_of(values, bonds)
+    blocks = bond_blocks(values, bonds)
     pairs: list[tuple[int, int]] = []  # (pattern value, host value) chosen so far
 
     def fits(pv: int, hv: int) -> bool:

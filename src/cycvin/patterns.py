@@ -81,13 +81,7 @@ class Pattern:
 
     def blocks(self) -> list[tuple[int, ...]]:
         """Maximal bonded runs of the (canonical) value sequence, in order."""
-        out: list[list[int]] = [[self.values[0]]]
-        for j in range(1, self.k):
-            if j in self.bonds:
-                out[-1].append(self.values[j])
-            else:
-                out.append([self.values[j]])
-        return [tuple(b) for b in out]
+        return bond_blocks(self.values, self.bonds)
 
     def reverse(self) -> "Pattern":
         k = self.k
@@ -121,6 +115,12 @@ class Pattern:
         if self.kind == LINEAR:
             return [(self.values, self.bonds)]
         return _wrap_free_rotations(self.values, self.bonds)
+
+
+def bond_blocks(vals: tuple[int, ...], bonds: frozenset[int]) -> list[tuple[int, ...]]:
+    """Split a value sequence into its maximal runs joined by linear bond slots."""
+    cuts = [0] + [j for j in range(1, len(vals)) if j not in bonds] + [len(vals)]
+    return [tuple(vals[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _wrap_free_rotations(

@@ -66,11 +66,11 @@ class LinearPerm:
 
     def zeil(self) -> int:
         """Largest m such that n, n-1, ..., n-m+1 is a subsequence."""
-        return _zeil_word(self.values)
+        return zeil_word(self.values)
 
     def zeil_reverse(self) -> int:
         """Largest m such that n-m+1, ..., n-1, n is a subsequence."""
-        return _zeil_word(self.values[::-1])
+        return zeil_word(self.values[::-1])
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,14 @@ class CyclicPerm:
         """
         v = self.canonical.values
         p = v.index(len(v))
-        return _zeil_word(v[p:] + v[:p])
+        return zeil_word(v[p:] + v[:p])
 
     def zeil_reverse(self) -> int:
         return self.reverse().zeil()
 
 
-def _zeil_word(vals: Sequence[int]) -> int:
+def zeil_word(vals: Sequence[int]) -> int:
+    """Largest m such that n, n-1, ..., n-m+1 is a subsequence of the word."""
     n = len(vals)
     pos = [0] * (n + 1)
     for i, v in enumerate(vals):

@@ -10,7 +10,3 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "extended" in item.keywords:
             item.add_marker(skip)
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "extended: slow opt-in rows (n = 11, 12)")

@@ -2,28 +2,18 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. All comparisons are exact
 except the closed-form rounding check, which requires absolute deviation
-below 0.5. The n = 11, 12 table rows are opt-in via CYCVIN_EXTENDED=1.
+below 0.5. The n = 11..13 table rows are opt-in via CYCVIN_EXTENDED=1.
 """
 
 import pytest
 
 from cycvin import formulas
-from cycvin.avoidability import (
-    blowup_witness,
-    classify_minimal_unavoidable,
-    find_avoider,
-    max_avoidable_set,
-    patterns_with_max_at,
-    patterns_with_min_at,
-    rotation_closure_complement,
-    witness_minus_one,
-)
 from cycvin.enumeration import count_avoiders, enumerate_avoiders
-from cycvin.matcher import avoids_set
-from cycvin.patterns import PatternSet, all_totally_vincular
+from cycvin.patterns import PatternSet
 from cycvin.perms import CyclicPerm, LinearPerm, canonicalize
 from cycvin.tables import expected_counts
 from cycvin.verify import (
+    verify_avoidability,
     verify_bijections,
     verify_pruning,
     verify_representative_independence,
@@ -143,46 +133,7 @@ def test_criterion_5_bijection_suites():
 
 
 def test_criterion_6_avoidability_suite():
-    # anchored families have empty classes from length k through k+4
-    for k in range(1, 6):
-        for i in range(1, k + 1):
-            pset = patterns_with_min_at(i, k)
-            for n in range(k, k + 5):
-                assert find_avoider(pset, n) is None, (i, k, n)
-    # one-pattern-removed witnesses: every i, k <= 6, every excluded pattern, n <= 50
-    for k in range(1, 7):
-        for i in range(1, k + 1):
-            base = patterns_with_min_at(i, k)
-            for exc in base:
-                rest = base.difference(PatternSet(frozenset({exc})))
-                for n in range(k, 51):
-                    w = witness_minus_one(i, k, exc, n)
-                    assert len(w) == n and avoids_set(w, rest), (i, k, str(exc), n)
-    # blow-up witnesses for every base permutation, k <= 4, m <= 5
-    from itertools import permutations
-
-    for k in range(2, 5):
-        for vals in permutations(range(1, k + 1)):
-            pi = LinearPerm(vals)
-            comp = rotation_closure_complement(pi)
-            for m in range(1, 6):
-                assert avoids_set(blowup_witness(pi, m), comp)
-    # classification at k = 3 finds exactly the six anchored pairs
-    cls = classify_minimal_unavoidable(3, 8)
-    expected = sorted(
-        tuple(sorted(str(p) for p in s))
-        for s in [patterns_with_min_at(i, 3) for i in (1, 2, 3)]
-        + [patterns_with_max_at(i, 3) for i in (1, 2, 3)]
-    )
-    assert sorted(tuple(s) for s in cls.minimal_sets) == expected
-    # maximum avoidable cardinality at k = 3 is 3! - 3: nothing larger survives
-    from itertools import combinations
-
-    pats = list(all_totally_vincular(3))
-    for size in (4, 5, 6):
-        for combo in combinations(pats, size):
-            assert find_avoider(PatternSet(frozenset(combo)), 9) is None
-    assert find_avoider(max_avoidable_set(3), 9) is not None
+    assert verify_avoidability() == []
     print("ACCEPTANCE 6: PASS - anchored sets empty through k+4 (k <= 5), all "
           "witnesses verified (k <= 6, n <= 50), blow-ups verified (k <= 4, m <= 5), "
           "k=3 classification exact, maximum avoidable size 3!-3 confirmed at horizon 9")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cycvin import cli
 
 
@@ -47,6 +49,10 @@ def test_count_jobs_equivalence(capsys):
     _, out2, _ = run(capsys, "count", "--set", "[2~3,4,1]", "--n", "7",
                      "--format", "json", "--jobs", "2")
     assert out1 == out2
+    refined = [run(capsys, "count", "--set", "[1~4,2,3]", "--n", "4..7", "--format", "json",
+                   "--stat", "predecessor_of_n", "--jobs", jobs)[1] for jobs in ("1", "2")]
+    assert refined[0] == refined[1]
+    assert json.loads(refined[0])[-1]["refinement"]["stat"] == "predecessor_of_n"
 
 
 def test_parse_error_exit_code(capsys):
@@ -55,9 +61,13 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
-def test_budget_exit_code(capsys):
-    code, _, err = run(capsys, "count", "--set", "[1~3,2,4]", "--n", "9",
-                       "--budget-nodes", "100", "--jobs", "1")
+@pytest.mark.parametrize("argv", [
+    ("count", "--set", "[1~3,2,4]", "--n", "9"),
+    ("enumerate", "--set", "[1~3,2,4]", "--n", "9"),
+    ("table", "--table", "1", "--n-max", "7"),
+], ids=["count", "enumerate", "table"])
+def test_budget_exit_code(capsys, argv):
+    code, _, err = run(capsys, *argv, "--budget-nodes", "100", "--jobs", "1")
     assert code == 3
     assert "budget" in err
 

@@ -112,6 +112,12 @@ def test_budget_partial_table():
 def test_jobs_do_not_change_counts():
     s = PatternSet.from_texts("[2~3,4,1]")
     assert count_avoiders(s, 7, jobs=1) == count_avoiders(s, 7, jobs=2) == 180
+    for text, stat in (("[1~4,2,3]", "predecessor_of_n"), ("[1~4,3,2]", "zeil_reverse")):
+        s = PatternSet.from_texts(text)
+        one = count_refined(s, 7, stat, jobs=1)
+        two = count_refined(s, 7, stat, jobs=2)
+        assert one == two and list(one.items()) == list(two.items())
+        assert list(one) == sorted(one) and sum(one.values()) == catalan(6)
 
 
 def test_count_table_shapes():
@@ -210,8 +216,10 @@ def test_enumerate_streams_under_a_small_budget():
     assert first.canonical.values == tuple(range(1, 9))
 
 
-def _budget_outcome(s, n, budget, jobs):
+def _budget_outcome(s, n, budget, jobs, stat=None):
     try:
+        if stat is not None:
+            return "count", count_refined(s, n, stat, jobs=jobs, budget=budget)
         return "count", count_avoiders(s, n, jobs=jobs, budget=budget)
     except BudgetExceededError as exc:
         return "budget", exc.nodes
@@ -226,6 +234,11 @@ def test_budget_is_global_across_jobs():
         assert one == ("budget", budget + 1)
         assert _budget_outcome(s, 8, budget, 2) == one
     assert _budget_outcome(s, 8, 5124, 2) == _budget_outcome(s, 8, 5124, 1) == ("count", 429)
+    # refined counts run on the same shard driver and budget rule
+    s = PatternSet.from_texts("[1~4,2,3]")
+    one = _budget_outcome(s, 8, 1000, 1, "predecessor_of_n")
+    assert one == ("budget", 1001)
+    assert _budget_outcome(s, 8, 1000, 2, "predecessor_of_n") == one
 
 
 def test_worker_count_is_capped_by_shards(monkeypatch):
@@ -252,6 +265,9 @@ def test_worker_count_is_capped_by_shards(monkeypatch):
     s = PatternSet.from_texts("[1~3,2,4]")
     assert count_avoiders(s, 6, jobs=64) == 42
     assert requested == [5]
+    # refined counts run on the same pool
+    assert sum(count_refined(s, 6, "predecessor_of_n", jobs=64).values()) == 42
+    assert requested == [5, 5]
     with pytest.raises(BudgetExceededError) as info:
         count_avoiders(s, 8, jobs=64, budget=1000)
     assert info.value.nodes == 1001
