@@ -94,6 +94,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if n_min != n_max:
         print("error: enumerate takes a single n", file=sys.stderr)
         return EXIT_USAGE
+    if args.limit is not None and args.limit < 1:
+        print("error: --limit must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     count = 0
     for c in enumerate_avoiders(pset, n_min, budget=args.budget_nodes):
         print(c)
@@ -220,11 +223,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_budget(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--budget-nodes", type=int, default=None,
+                       help="search node ceiling")
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1),
                        help="worker processes for sharded search")
-        p.add_argument("--budget-nodes", type=int, default=None,
-                       help="search node ceiling")
+        add_budget(p)
 
     p = sub.add_parser("count", help="count avoiders of a pattern set")
     p.add_argument("--set", required=True, help='patterns, e.g. "[1~3,2,4]" or "[1~2~3] [3~2~1]"')
@@ -238,8 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list the avoiders themselves")
     p.add_argument("--set", required=True)
     p.add_argument("--n", required=True)
-    p.add_argument("--limit", type=int, default=None)
-    add_common(p)
+    p.add_argument("--limit", type=int, default=None, help="print at most this many (>= 1)")
+    add_budget(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("table", help="recompute a bundled reference table and diff it")
@@ -247,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="1: length-3 doubleton classes; 2: length-4 single-bond classes")
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--extended", action="store_true",
-                   help="run the slow tail rows (n = 11..13)")
+                   help="also run the tail rows: table 1 to n = 13 (seconds), "
+                        "table 2 to n = 12 (slow)")
     add_common(p)
     p.set_defaults(func=_cmd_table)
 

@@ -33,17 +33,34 @@ them, so the node budget is global: BudgetExceededError is raised when the
 running total first exceeds the budget, with nodes = budget + 1. With
 jobs > 1 the shards run in worker processes and their (tally, nodes) pairs
 are combined in shard order under the same rule, so no result depends on
-the number of workers. Enumeration yields each avoider as soon as it is
-found, so a caller that stops early pays only for the nodes visited so far.
+the number of workers; at most jobs + 1 shards are handed out at a time,
+so after an overrun only those run to their end. Enumeration yields each
+avoider as soon as it is found, so a caller that stops early pays only for
+the nodes visited so far.
+
+When every pattern of a non-empty set is totally vincular, a plain count
+does not walk the leaves (the transfer-matrix view of consecutive patterns:
+Goulden and Jackson's cluster method; Elizalde and Noy, "Consecutive
+patterns in permutations", Adv. Appl. Math. 30, 2003). Whether a prefix of
+length m completes to an avoider then depends only on the relative order of
+sigma_2..sigma_{k-1} (the seam windows read them; sigma_1 = 1 is the global
+minimum), the last k-1 entries and the unused values. `count_by_state`
+memoizes subtree counts on m and the ranks of those tracked entries among
+the tracked and unused values, from m = 2k-2 on, where the two tracked runs
+are disjoint. It checks prefixes and leaves as `leaves` does and draws on the
+same node counter and budget, but one memo spans all shards, so it runs in
+the calling process for any jobs. Refined counts, enumeration and the
+avoidability searches need the leaves themselves and stay on `leaves`.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .matcher import avoids_set
@@ -205,6 +222,48 @@ class _Search:
                     return False
         return not any(_crosses_seam(word2, n, prog, self.h) for prog in self.seam)
 
+    def count_by_state(self) -> int:
+        """The number of avoiders of a set of totally vincular patterns, with
+        subtree counts memoized on the window state instead of walked leaf by
+        leaf. Nodes count as in `leaves` (every appended value, a memo hit
+        included), except that the root is one node, not one per shard."""
+        n, k, budget, forbidden = self.n, self.k, self.budget, self.forbidden
+        word: list[int] = []
+        used = [False] * (n + 1)
+        memo: dict[tuple[int, ...], int] = {}
+
+        def grow(v: int) -> int:
+            word.append(v)
+            used[v] = True
+            self.nodes += 1
+            if self.nodes > budget:
+                raise BudgetExceededError("node budget exceeded", self.nodes, n)
+            m = len(word)
+            if m >= k and reduce_window(word[-k:]) in forbidden:
+                total = 0
+            elif m == n:
+                total = int(self.seam_clean(word))
+            else:
+                free = [u for u in range(2, n + 1) if not used[u]]
+                if m < 2 * k - 2:
+                    total = sum(map(grow, free))
+                else:
+                    # sigma_2..sigma_{k-1} and the last k-1 entries, ranked
+                    # among themselves and the unused values
+                    tracked = word[1:k - 1] + word[m - k + 1:]
+                    pool = sorted(tracked + free)
+                    key = (m, *map(pool.index, tracked))
+                    total = memo.get(key, -1)
+                    if total < 0:
+                        total = memo[key] = sum(map(grow, free))
+            used[word.pop()] = False
+            return total
+
+        try:
+            return grow(1)
+        finally:
+            del grow  # grow refers to itself; free the memo now, not at a later gc pass
+
     def tally(self, v2: int | None, stat: str | None) -> int | Counter[int]:
         """The number of avoiders of one shard, or a Counter of a statistic."""
         leaves = self.leaves(v2)
@@ -235,6 +294,10 @@ def _run_shards(pset: PatternSet, n: int, jobs: int, budget: int | None,
     _validate(pset, n)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if stat is None and pset.patterns and all(p.totally_vincular for p in pset.patterns):
+        # the memo spans the shards, so this count runs in this process
+        # whatever jobs is
+        return _Search(pset, n, budget).count_by_state()
     shards = _shards(n)
     total: int | Counter[int] = 0 if stat is None else Counter()
     if jobs == 1 or len(shards) == 1:
@@ -242,21 +305,29 @@ def _run_shards(pset: PatternSet, n: int, jobs: int, budget: int | None,
         return sum((search.tally(v2, stat) for v2 in shards), total)
     limit = DEFAULT_BUDGET if budget is None else budget
     nodes = 0
-    work = [(pset, n, v2, budget, stat) for v2 in shards]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
-        # a shard over the budget on its own raises in its worker, with the
-        # same nodes = limit + 1 as below
-        for part, used in pool.map(_count_shard, *zip(*work)):
+    work = iter([(pset, n, v2, budget, stat) for v2 in shards])
+    workers = min(jobs, len(shards))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # one shard more than there are workers is submitted at a time, so no
+        # worker waits for work, and after an overrun no further shard starts
+        running = deque(pool.submit(_count_shard, *args) for args in islice(work, workers + 1))
+        while running:
+            # a shard over the budget on its own raises in its worker, with
+            # the same nodes = limit + 1 as below
+            part, used = running.popleft().result()
             total += part
             nodes += used
             if nodes > limit:
                 raise BudgetExceededError("node budget exceeded", limit + 1, n)
+            running.extend(pool.submit(_count_shard, *args) for args in islice(work, 1))
     return total
 
 
 def count_avoiders(pset: PatternSet, n: int, *, jobs: int = 1,
                    budget: int | None = None) -> int:
-    """|Av_n| for a set of cyclic patterns: canonical cyclic permutations avoiding all."""
+    """|Av_n| for a set of cyclic patterns: canonical cyclic permutations
+    avoiding all. A set of totally vincular patterns is counted by memoized
+    window state, in this process whatever jobs is."""
     return _run_shards(pset, n, jobs, budget)
 
 

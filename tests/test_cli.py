@@ -62,12 +62,12 @@ def test_parse_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("count", "--set", "[1~3,2,4]", "--n", "9"),
+    ("count", "--set", "[1~3,2,4]", "--n", "9", "--jobs", "1"),
     ("enumerate", "--set", "[1~3,2,4]", "--n", "9"),
-    ("table", "--table", "1", "--n-max", "7"),
+    ("table", "--table", "1", "--n-max", "7", "--jobs", "1"),
 ], ids=["count", "enumerate", "table"])
 def test_budget_exit_code(capsys, argv):
-    code, _, err = run(capsys, *argv, "--budget-nodes", "100", "--jobs", "1")
+    code, _, err = run(capsys, *argv, "--budget-nodes", "100")
     assert code == 3
     assert "budget" in err
 
@@ -79,16 +79,31 @@ def test_bad_jobs_exit_code(capsys):
 
 
 def test_enumerate(capsys):
-    code, out, _ = run(capsys, "enumerate", "--set", "[1~2,3]", "--n", "5", "--jobs", "1")
+    code, out, _ = run(capsys, "enumerate", "--set", "[1~2,3]", "--n", "5")
     assert code == 0
     assert out.strip() == "[1,5,4,3,2]"
 
 
 def test_enumerate_limit(capsys):
-    code, out, _ = run(capsys, "enumerate", "--set", "[1~3,2,4]", "--n", "6",
-                       "--limit", "3", "--jobs", "1")
+    code, out, _ = run(capsys, "enumerate", "--set", "[1~3,2,4]", "--n", "6", "--limit", "3")
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_enumerate_limit_below_one(capsys, limit):
+    code, out, err = run(capsys, "enumerate", "--set", "[1~3,2,4]", "--n", "6",
+                         "--limit", limit)
+    assert code == 2
+    assert out == "" and "--limit" in err
+
+
+def test_enumerate_takes_no_jobs(capsys):
+    # enumeration runs in one process, so the flag is refused, not ignored
+    with pytest.raises(SystemExit) as info:
+        cli.main(["enumerate", "--set", "[1~2,3]", "--n", "5", "--jobs", "2"])
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_refined_count(capsys):

@@ -1,10 +1,17 @@
+import itertools
 import json
 import math
+import random
+from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
 from cycvin.enumeration import (
     BudgetExceededError,
+    _count_shard,
+    _Search,
+    _shards,
     count_avoiders,
     count_avoiders_naive,
     count_range,
@@ -12,8 +19,8 @@ from cycvin.enumeration import (
     enumerate_avoiders,
     predecessor_of_n,
 )
-from cycvin.formulas import catalan
-from cycvin.patterns import PatternSet
+from cycvin.formulas import av_consec_123, av_consec_132, catalan, updown
+from cycvin.patterns import PatternSet, all_totally_vincular
 from cycvin.perms import CyclicPerm
 from cycvin.verify import verify_pruning, verify_wilf_orbits
 
@@ -241,16 +248,28 @@ def test_budget_is_global_across_jobs():
     assert _budget_outcome(s, 8, 1000, 2, "predecessor_of_n") == one
 
 
-def test_worker_count_is_capped_by_shards(monkeypatch):
-    # a fake executor records the requested workers and runs the shards in
-    # this process, so no large pool is ever started
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Stand in for ProcessPoolExecutor, in this process, so no large pool is
+    ever started. A submitted shard runs at once, as if a worker had taken
+    it; records the requested workers and the sigma_2 of every shard that
+    ran."""
     from cycvin import enumeration
 
-    requested = []
+    log = SimpleNamespace(workers=[], ran=[])
 
     class FakePool:
         def __init__(self, max_workers):
-            requested.append(max_workers)
+            log.workers.append(max_workers)
+
+        def submit(self, fn, *args):
+            log.ran.append(args[2])
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except BudgetExceededError as exc:
+                future.set_exception(exc)
+            return future
 
         def __enter__(self):
             return self
@@ -258,18 +277,78 @@ def test_worker_count_is_capped_by_shards(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
+    return log
+
+
+def test_worker_count_is_capped_by_shards(fake_pool):
     s = PatternSet.from_texts("[1~3,2,4]")
     assert count_avoiders(s, 6, jobs=64) == 42
-    assert requested == [5]
+    assert fake_pool.workers == [5]
     # refined counts run on the same pool
     assert sum(count_refined(s, 6, "predecessor_of_n", jobs=64).values()) == 42
-    assert requested == [5, 5]
+    assert fake_pool.workers == [5, 5]
     with pytest.raises(BudgetExceededError) as info:
         count_avoiders(s, 8, jobs=64, budget=1000)
     assert info.value.nodes == 1001
     with pytest.raises(ValueError, match="jobs"):
         count_avoiders(s, 6, jobs=0)
+
+
+def test_pool_overrun_starts_no_further_shard(fake_pool):
+    # two workers hold at most three shards; once the running total is over
+    # the budget, or a worker raises, no later shard is started
+    s = PatternSet.from_texts("[2~3,4,1]")
+    first, second = (_count_shard(s, 8, v2, None)[1] for v2 in (2, 3))
+    for budget, ran in ((first + second - 1, [2, 3, 4, 5]), (first - 1, [2, 3, 4])):
+        fake_pool.ran.clear()
+        with pytest.raises(BudgetExceededError) as info:
+            count_avoiders(s, 8, jobs=2, budget=budget)
+        assert info.value.nodes == budget + 1
+        assert fake_pool.ran == ran
+
+
+TV3 = list(all_totally_vincular(3))
+TV4 = list(all_totally_vincular(4))
+
+
+def _leaf_count(s, n):
+    search = _Search(s, n, None)
+    return sum(1 for v2 in _shards(n) for _ in search.leaves(v2))
+
+
+def test_state_count_matches_leaves_on_every_k3_set():
+    for r in range(1, len(TV3) + 1):
+        for subset in itertools.combinations(TV3, r):
+            s = PatternSet(frozenset(subset))
+            for n in range(1, 9):
+                assert _Search(s, n, None).count_by_state() == _leaf_count(s, n), (s, n)
+
+
+def test_state_count_matches_leaves_on_sampled_k4_sets():
+    rng = random.Random(4)
+    for _ in range(20):
+        s = PatternSet(frozenset(rng.sample(TV4, rng.randint(1, 8))))
+        for n in range(1, 9):
+            assert _Search(s, n, None).count_by_state() == _leaf_count(s, n), (s, n)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_state_count_matches_series(n):
+    assert count_avoiders(PatternSet.from_texts("[1~2~3]"), n) == av_consec_123(n)
+    assert count_avoiders(PatternSet.from_texts("[1~3~2]"), n) == av_consec_132(n)
+    assert count_avoiders(PatternSet.from_texts("[1~2~3]", "[3~2~1]"), n) == updown(n - 1)
+
+
+def test_state_count_nodes_are_pinned():
+    # the memoized count of Table 1's first row at n=10 visits fewer nodes
+    # than the leaf walk does at n=9 (17664, pinned above)
+    s = PatternSet.from_texts("[1~2~3]", "[2~3~1]")
+    search = _Search(s, 10, None)
+    assert search.count_by_state() == 9460
+    assert search.nodes == 4590 < 17664
+    # count_avoiders takes this path in this process for every jobs, under
+    # the same budget rule
+    for jobs in (1, 2):
+        assert _budget_outcome(s, 10, 4590, jobs) == ("count", 9460)
+        assert _budget_outcome(s, 10, 4589, jobs) == ("budget", 4590)
