@@ -12,17 +12,30 @@ only checkable once the permutation is complete; they are found on the
 doubled word under a span guard (an occurrence may go around the circle at
 most once), which the tests validate against the rotation-scanning matcher.
 
-Totally vincular patterns are checked by window lookup: the reduction of the
-last k entries against the forbidden value tuples, and the k-1 windows
-across the seam of a leaf. Every other pattern is compiled once into
-placement programs: for the prefix check, per wrap-free representative, the
-last block (anchored at the end of the word) and then the other blocks from
-left to right; for the seam check, the canonical representative's blocks
-from left to right. Each program entry names the already placed entries
-holding its nearest smaller and nearest larger pattern values, so the order
-check of a new host value is two comparisons (the encoding of Kubica et al.,
-"A linear time algorithm for consecutive permutation pattern matching",
-IPL 2013). `matcher` shares none of this code and stays the oracle.
+The prefix check is mostly a bit test. Each word on the search path carries
+a mask: the values whose appending completes an occurrence ending at the
+new entry. It is computed once per word, and each child is then rejected by
+`mask >> v & 1` (after it is counted as a node). Two sources feed the mask.
+A table built once from the totally vincular patterns maps the reduction of
+the last k-1 entries to the ranks a new value must not take, and the sorted
+last k-1 entries turn those ranks into value intervals. The other patterns
+are compiled once into placement programs, one per wrap-free
+representative. A representative whose last block has width 1 is compiled
+as its last earlier block (anchored at the end of the word), the other
+earlier blocks from left to right, and the open final entry. A word's mask
+is then its parent's mask OR the value intervals the final entry may take
+over every placement whose last earlier block ends at the word's last
+entry; one exhaustive walk per word finds them. A representative whose last
+block is wider is checked at each appended entry instead: that block
+anchored at the end of the word, then the other blocks from left to right.
+The seam check reads the k-1 windows across the seam of a leaf and places
+the canonical representative's blocks from left to right. Each program
+entry names the already placed entries holding its nearest smaller and
+nearest larger pattern values, so the order check of a new host value is
+two comparisons (the encoding of Kubica et al., "A linear time algorithm
+for consecutive permutation pattern matching", IPL 2013), and the values a
+final entry may take form one interval. `matcher` shares none of this code
+and stays the oracle.
 
 The search forest is split into n-1 shards by the value of sigma_2, and
 `_Search.leaves(v2)` streams the avoiders of one shard. Counts and refined
@@ -148,6 +161,39 @@ def _ends_at_last(word: Sequence[int], prog: _Program, h: list[int]) -> bool:
             and _place_blocks(word, prog, 1, 0, s0, h, 0))
 
 
+def _between(lo: int, hi: int) -> int:
+    """Bitset of the values strictly between lo and hi."""
+    return (1 << hi) - (2 << lo)
+
+
+def _final_values(word: Sequence[int], prog: _Program, bi: int, start: int, stop: int,
+                  h: list[int]) -> int:
+    """Place steps bi.. of the program, all but its final one-entry step, left
+    to right into word[start:stop] in every way; the OR of the values the
+    final entry may take after each placement."""
+    width, room, entries = prog[bi]
+    if not room:
+        ((_slot, lo, hi),) = entries
+        return _between(h[lo], h[hi])
+    mask = 0
+    for s in range(start, stop - width - room + 2):
+        if _fits(word, s, entries, h):
+            mask |= _final_values(word, prog, bi + 1, s + width, stop, h)
+    return mask
+
+
+def _completed_at_next(word: Sequence[int], prog: _Program, h: list[int]) -> int:
+    """Bitset of the values v for which word + [v] has an occurrence whose
+    last block is v alone and whose last earlier block ends at the last entry
+    of the word. The program starts with that earlier block, anchored there,
+    and ends with the final entry."""
+    width, room, entries = prog[0]
+    s0 = len(word) - width
+    if s0 < room - 1 or not _fits(word, s0, entries, h):
+        return 0
+    return _final_values(word, prog, 1, 0, s0, h)
+
+
 def _crosses_seam(word2: Sequence[int], n: int, prog: _Program, h: list[int]) -> bool:
     """Occurrence in the doubled word with its first position in 1..n-1, its
     last position at n or later and a span of at most n-1. Occurrences with
@@ -168,26 +214,57 @@ class _Search:
         self.nodes = 0
         self.k = pset.k or 0
         self.forbidden = frozenset(p.values for p in pset.patterns if p.totally_vincular)
+        # the ranks of a new value that complete a forbidden window, keyed by
+        # the reduction of the k-1 entries before it
+        self.window_ranks: dict[tuple[int, ...], list[int]] = {}
+        for values in self.forbidden:
+            self.window_ranks.setdefault(reduce_window(values[:-1]), []).append(values[-1])
         general = [p for p in pset.patterns if not p.totally_vincular]
-        self.prune = []
+        # wrap-free representatives ending in a block of width 1 feed the
+        # masks; the others are checked at each appended entry
+        self.narrow: list[_Program] = []
+        self.wide: list[_Program] = []
         for p in general:
             for values, bonds in p.wrap_free_reps():
-                blocks = bond_blocks(values, bonds)
-                self.prune.append(_program(blocks[-1:] + blocks[:-1]))
+                *earlier, last = bond_blocks(values, bonds)
+                if len(last) == 1:
+                    self.narrow.append(_program(earlier[-1:] + earlier[:-1] + [last]))
+                else:
+                    self.wide.append(_program([last] + earlier))
         self.seam = [_program(p.blocks()) for p in general]
         self.h = [0, n + 1] + [0] * self.k
+
+    def window_mask(self, word: Sequence[int]) -> int:
+        """Bitset of the values whose appending to the word completes a
+        forbidden window."""
+        m, k = len(word), self.k
+        if not self.window_ranks or m < k - 1:
+            return 0
+        tail = word[m - k + 1:]
+        ranks = self.window_ranks.get(reduce_window(tail))
+        if ranks is None:
+            return 0
+        bounds = [0, *sorted(tail), self.n + 1]
+        mask = 0
+        for r in ranks:
+            mask |= _between(bounds[r - 1], bounds[r])
+        return mask
 
     def leaves(self, v2: int | None) -> Iterator[tuple[int, ...]]:
         """Yield the avoiders with sigma_2 = v2 (v2 is None when n = 1) in
         lexicographic order. The search keeps its stack of candidate
         iterators explicitly, so it can stop at any leaf."""
-        n, k, budget = self.n, self.k, self.budget
-        forbidden, prune, h = self.forbidden, self.prune, self.h
+        n, budget = self.n, self.budget
+        narrow, wide, h = self.narrow, self.wide, self.h
         word: list[int] = []
         used = [False] * (n + 1)
-        stack: list[Iterator[int]] = [iter((1,))]
+        # one frame per word on the path: its children, the values that
+        # complete a narrow occurrence after it (inherited by its children),
+        # and the values rejected among its children
+        stack: list[tuple[Iterator[int], int, int]] = [(iter((1,)), 0, self.window_mask(word))]
         while stack:
-            for v in stack[-1]:
+            children, grown, bad = stack[-1]
+            for v in children:
                 if not used[v]:
                     break
             else:
@@ -200,11 +277,13 @@ class _Search:
             self.nodes += 1
             if self.nodes > budget:
                 raise BudgetExceededError("node budget exceeded", self.nodes, n)
-            m = len(word)
-            if not ((forbidden and m >= k and reduce_window(word[-k:]) in forbidden)
-                    or (prune and any(_ends_at_last(word, prog, h) for prog in prune))):
+            if not (bad >> v & 1 or (wide and any(_ends_at_last(word, prog, h) for prog in wide))):
+                m = len(word)
                 if m < n:
-                    stack.append(iter((v2,) if m == 1 else range(2, n + 1)))
+                    for prog in narrow:
+                        grown |= _completed_at_next(word, prog, h)
+                    stack.append((iter((v2,) if m == 1 else range(2, n + 1)), grown,
+                                  grown | self.window_mask(word)))
                     continue
                 if self.seam_clean(word):
                     yield tuple(word)

@@ -19,9 +19,11 @@ from cycvin.enumeration import (
     enumerate_avoiders,
     predecessor_of_n,
 )
+from cycvin.avoidability import find_avoider, patterns_with_min_at
 from cycvin.formulas import av_consec_123, av_consec_132, catalan, updown
-from cycvin.patterns import PatternSet, all_totally_vincular
-from cycvin.perms import CyclicPerm
+from cycvin.matcher import avoids_set
+from cycvin.patterns import Pattern, PatternSet, all_totally_vincular
+from cycvin.perms import CyclicPerm, all_cyclic_perms
 from cycvin.verify import verify_pruning, verify_wilf_orbits
 
 
@@ -214,6 +216,63 @@ def test_node_totals_are_pinned(texts, n, nodes):
     search = _Search(s, n, None)
     assert sum(1 for v2 in _shards(n) for _ in search.leaves(v2)) == count_avoiders(s, n)
     assert search.nodes == nodes
+
+
+@pytest.mark.parametrize("pset, n, first, nodes", [
+    (PatternSet.from_texts("[1~2,3,4]"), 9, (1, 2, 9, 8, 7, 6, 5, 4, 3), 450),
+    (PatternSet.from_texts("[2~3,4,1]"), 9, (1, 2, 9, 3, 8, 7, 6, 5, 4), 797),
+    (patterns_with_min_at(2, 4), 8, None, 6986),
+    (PatternSet.from_texts("[1~2~3~4]", "[1~3,2,4]"), 8, (1, 2, 8, 4, 5, 3, 6, 7), 243),
+])
+def test_first_leaf_nodes_are_pinned(pset, n, first, nodes):
+    # the nodes walked up to the first avoider (or to the end of an empty
+    # class): a rejected child still counts as a node
+    search = _Search(pset, n, None)
+    assert next((w for v2 in _shards(n) for w in search.leaves(v2)), None) == first
+    assert search.nodes == nodes
+
+
+def test_find_avoider_budget_edge():
+    s = patterns_with_min_at(2, 4)
+    with pytest.raises(BudgetExceededError) as info:
+        find_avoider(s, 8, budget=6985)
+    assert info.value.nodes == 6986
+    assert find_avoider(s, 8, budget=6986) is None
+
+
+@pytest.mark.parametrize("text", ["[1]", "[1~2]", "[2~1]", "[1,2]"])
+def test_root_is_checked(text):
+    # the root 1 is rejected by the mask of the empty word, so [1] is empty
+    # even at n = 1
+    s = PatternSet.from_texts(text)
+    for n in range(1, 5):
+        assert count_avoiders(s, n) == _leaf_count(s, n) == count_avoiders_naive(s, n), n
+
+
+def _random_pattern(rng, k, bonded):
+    """A cyclic pattern of length k: totally vincular, or with a random set of
+    fewer than k - 1 bonds."""
+    values = tuple(rng.sample(range(1, k + 1), k))
+    slots = rng.sample(range(1, k + 1), k - 1 if bonded else rng.randrange(k - 1))
+    return Pattern(values, frozenset(slots))
+
+
+def test_masks_agree_with_the_matcher_on_random_sets():
+    # window masks and narrow-program masks are ORed when a set mixes a
+    # totally vincular pattern with a bonded one, or holds several bonded ones
+    rng = random.Random(6)
+    mixed = 0
+    for i in range(24):
+        k = 4 + i % 2
+        pats = [_random_pattern(rng, k, bonded=i % 3 == 0)]
+        pats += [_random_pattern(rng, k, bonded=rng.random() < 0.3) for _ in range(rng.randrange(3))]
+        s = PatternSet(frozenset(pats))
+        mixed += len({p.totally_vincular for p in s}) == 2
+        for n in range(1, 8):
+            assert _leaf_count(s, n) == count_avoiders(s, n) == count_avoiders_naive(s, n), (s, n)
+            scan = next((c for c in all_cyclic_perms(n) if avoids_set(c, s)), None)
+            assert next(enumerate_avoiders(s, n), None) == scan, (s, n)
+    assert mixed >= 4
 
 
 def test_enumerate_streams_under_a_small_budget():
