@@ -252,8 +252,8 @@ class _Search:
 
     def leaves(self, v2: int | None) -> Iterator[tuple[int, ...]]:
         """Yield the avoiders with sigma_2 = v2 (v2 is None when n = 1) in
-        lexicographic order. The search keeps its stack of candidate
-        iterators explicitly, so it can stop at any leaf."""
+        lexicographic order. The search keeps its stack of frames
+        explicitly, so it can stop at any leaf."""
         n, budget = self.n, self.budget
         narrow, wide, h = self.narrow, self.wide, self.h
         word: list[int] = []

@@ -249,11 +249,11 @@ def test_root_is_checked(text):
         assert count_avoiders(s, n) == _leaf_count(s, n) == count_avoiders_naive(s, n), n
 
 
-def _random_pattern(rng, k, bonded):
+def _random_pattern(rng, k, totally_vincular):
     """A cyclic pattern of length k: totally vincular, or with a random set of
     fewer than k - 1 bonds."""
     values = tuple(rng.sample(range(1, k + 1), k))
-    slots = rng.sample(range(1, k + 1), k - 1 if bonded else rng.randrange(k - 1))
+    slots = rng.sample(range(1, k + 1), k - 1 if totally_vincular else rng.randrange(k - 1))
     return Pattern(values, frozenset(slots))
 
 
@@ -264,8 +264,8 @@ def test_masks_agree_with_the_matcher_on_random_sets():
     mixed = 0
     for i in range(24):
         k = 4 + i % 2
-        pats = [_random_pattern(rng, k, bonded=i % 3 == 0)]
-        pats += [_random_pattern(rng, k, bonded=rng.random() < 0.3) for _ in range(rng.randrange(3))]
+        pats = [_random_pattern(rng, k, i % 3 == 0)]
+        pats += [_random_pattern(rng, k, rng.random() < 0.3) for _ in range(rng.randrange(3))]
         s = PatternSet(frozenset(pats))
         mixed += len({p.totally_vincular for p in s}) == 2
         for n in range(1, 8):
