@@ -248,6 +248,8 @@ def classify_minimal_unavoidable(k: int, horizon: int, *,
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if horizon < k:
+        raise ValueError(f"horizon must be >= k = {k}")
     patterns = sorted(all_totally_vincular(k), key=lambda p: p.values)
     found: list[frozenset[Pattern]] = []
     minimal_sets: list[list[str]] = []

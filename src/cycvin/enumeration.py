@@ -7,10 +7,17 @@ the (n-1)! canonical cyclic permutations in lexicographic order. A prefix is
 rejected as soon as it contains a linear occurrence of any wrap-free
 representative of a forbidden pattern: appending at the end never disturbs
 adjacencies or relative order already present, so such an occurrence
-survives into every completion. Occurrences crossing the rotation seam are
-only checkable once the permutation is complete; they are found on the
-doubled word under a span guard (an occurrence may go around the circle at
-most once), which the tests validate against the rotation-scanning matcher.
+survives into every completion. Read around the circle from position 0,
+an occurrence in a complete permutation is a linear occurrence of a
+wrap-free representative inside the word, unless the pattern bonds its
+entries at positions n-1 and 0. Position 0 holds the value 1, so that bond
+joins the pattern's 1 to its cyclic predecessor. The seam check of a leaf
+therefore places only the patterns whose 1 is bonded that way: from the 1
+to the end of its block at position 0, the head of that block at the end of
+the word, and the other blocks between them. A pattern whose 1 starts its
+block needs no seam check. A totally vincular pattern is instead looked up
+in the k-1 windows across the seam. The tests validate this against the
+rotation-scanning matcher.
 
 The prefix check is mostly a bit test. Each word on the search path carries
 a mask: the values whose appending completes an occurrence ending at the
@@ -28,14 +35,12 @@ over every placement whose last earlier block ends at the word's last
 entry; one exhaustive walk per word finds them. A representative whose last
 block is wider is checked at each appended entry instead: that block
 anchored at the end of the word, then the other blocks from left to right.
-The seam check reads the k-1 windows across the seam of a leaf and places
-the canonical representative's blocks from left to right. Each program
-entry names the already placed entries holding its nearest smaller and
-nearest larger pattern values, so the order check of a new host value is
-two comparisons (the encoding of Kubica et al., "A linear time algorithm
-for consecutive permutation pattern matching", IPL 2013), and the values a
-final entry may take form one interval. `matcher` shares none of this code
-and stays the oracle.
+Each program entry names the already placed entries holding its nearest
+smaller and nearest larger pattern values, so the order check of a new
+host value is two comparisons (the encoding of Kubica et al., "A linear
+time algorithm for consecutive permutation pattern matching", IPL 2013),
+and the values a final entry may take form one interval. `matcher` shares
+none of this code and stays the oracle.
 
 The search forest is split into n-1 shards by the value of sigma_2, and
 `_Search.leaves(v2)` streams the avoiders of one shard. Counts and refined
@@ -138,16 +143,13 @@ def _fits(word: Sequence[int], s: int, entries: tuple[tuple[int, int, int], ...]
 
 
 def _place_blocks(word: Sequence[int], prog: _Program, bi: int, start: int, stop: int,
-                  h: list[int], min_end: int) -> bool:
-    """Place steps bi.. of the program, left to right, into word[start:stop];
-    the last block must end at position min_end or later."""
+                  h: list[int]) -> bool:
+    """Place steps bi.. of the program, left to right, into word[start:stop]."""
     width, room, entries = prog[bi]
     last = bi + 1 == len(prog)
-    if last:
-        start = max(start, min_end - width + 1)
     for s in range(start, stop - width - room + 1):
         if _fits(word, s, entries, h) and (
-                last or _place_blocks(word, prog, bi + 1, s + width, stop, h, min_end)):
+                last or _place_blocks(word, prog, bi + 1, s + width, stop, h)):
             return True
     return False
 
@@ -158,7 +160,7 @@ def _ends_at_last(word: Sequence[int], prog: _Program, h: list[int]) -> bool:
     width, room, entries = prog[0]
     s0 = len(word) - width
     return (s0 >= room and _fits(word, s0, entries, h)
-            and _place_blocks(word, prog, 1, 0, s0, h, 0))
+            and _place_blocks(word, prog, 1, 0, s0, h))
 
 
 def _between(lo: int, hi: int) -> int:
@@ -194,17 +196,6 @@ def _completed_at_next(word: Sequence[int], prog: _Program, h: list[int]) -> int
     return _final_values(word, prog, 1, 0, s0, h)
 
 
-def _crosses_seam(word2: Sequence[int], n: int, prog: _Program, h: list[int]) -> bool:
-    """Occurrence in the doubled word with its first position in 1..n-1, its
-    last position at n or later and a span of at most n-1. Occurrences with
-    the first position at 0 lie inside the word and are the prefix check's."""
-    width, _room, entries = prog[0]
-    for s in range(1, n):
-        if _fits(word2, s, entries, h) and _place_blocks(word2, prog, 1, s + width, s + n, h, n):
-            return True
-    return False
-
-
 class _Search:
     """The backtracking engine for one pattern set and length n."""
 
@@ -231,7 +222,13 @@ class _Search:
                     self.narrow.append(_program(earlier[-1:] + earlier[:-1] + [last]))
                 else:
                     self.wide.append(_program([last] + earlier))
-        self.seam = [_program(p.blocks()) for p in general]
+        # an occurrence the prefix check misses bonds the pattern's 1, at
+        # position 0, to its cyclic predecessor at position n-1: from the 1 to
+        # the end of its block, then the block's head (anchored at the end of
+        # the word), then the other blocks from left to right
+        self.seam = [_program([b[b.index(1):], b[:b.index(1)]] + blocks[i + 1:] + blocks[:i])
+                     for blocks in (p.blocks() for p in general)
+                     for i, b in enumerate(blocks) if 1 in b[1:]]
         self.h = [0, n + 1] + [0] * self.k
 
     def window_mask(self, word: Sequence[int]) -> int:
@@ -290,16 +287,25 @@ class _Search:
             used[word.pop()] = False
 
     def seam_clean(self, word: Sequence[int]) -> bool:
-        """No occurrence of a pattern crosses the seam of the complete word."""
-        n, k = len(word), self.k
+        """No occurrence of a pattern crosses the seam of the complete word.
+        This relies on the prefix check having rejected every linear
+        occurrence of every wrap-free representative and every forbidden
+        linear window inside the word, so only the windows across the seam
+        and the occurrences that bond the 1 at position 0 to position n-1
+        are left to look for."""
+        n, k, h = len(word), self.k, self.h
         if n < k:
             return True
-        word2 = [*word, *word]
         if self.forbidden:
-            for s in range(n - k + 1, n):
-                if reduce_window(word2[s:s + k]) in self.forbidden:
+            ends = word[n - k + 1:] + word[:k - 1]
+            for s in range(k - 1):
+                if reduce_window(ends[s:s + k]) in self.forbidden:
                     return False
-        return not any(_crosses_seam(word2, n, prog, self.h) for prog in self.seam)
+        for prog in self.seam:
+            width, _room, entries = prog[0]
+            if _fits(word, 0, entries, h) and _ends_at_last(word[width:], prog[1:], h):
+                return False
+        return True
 
     def count_by_state(self) -> int:
         """The number of avoiders of a set of totally vincular patterns, with

@@ -57,7 +57,6 @@ def av_bond12_34(n: int) -> int:
     return 1 + sum(i * (i + 1) ** (n - i - 2) for i in range(n - 1))
 
 
-@lru_cache(maxsize=None)
 def dyck_uudd(n: int) -> int:
     """Catalan-like sequence 2, 1, 1, 2, 5, 13, ...: D_n = sum D_k D_{n-k}, k=1..n-3.
 
@@ -66,11 +65,10 @@ def dyck_uudd(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 2
-    if n in (2, 3):
-        return 1
-    return sum(dyck_uudd(k) * dyck_uudd(n - k) for k in range(1, n - 2))
+    d = [0, 2, 1, 1]
+    for m in range(4, n + 1):
+        d.append(sum(d[k] * d[m - k] for k in range(1, m - 2)))
+    return d[n]
 
 
 def dyck_uudd_explicit(n: int) -> int:

@@ -169,6 +169,12 @@ def test_classification_k3():
         assert data["smallest_size"] == 2
 
 
+def test_classification_needs_horizon_at_least_k():
+    # below k every length is trivially non-empty, which is no evidence
+    with pytest.raises(ValueError, match="horizon"):
+        classify_minimal_unavoidable(3, 2)
+
+
 def test_classification_bounded_scan_is_marked_incomplete():
     cls = classify_minimal_unavoidable(4, 6, max_subsets=200)
     assert not cls.complete

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cycvin import cli
+from cycvin import cli, formulas
 
 
 def run(capsys, *argv):
@@ -121,6 +121,12 @@ def test_formula(capsys):
     assert "float approximation" in out
 
 
+def test_formula_dyck_uudd_large_n(capsys):
+    code, out, _ = run(capsys, "formula", "dyck-uudd", "--n", "900")
+    assert code == 0
+    assert int(out) == formulas.dyck_uudd_explicit(900)
+
+
 def test_formula_domain_error(capsys):
     code, _, err = run(capsys, "formula", "bond12-34", "--n", "1")
     assert code == 2 and "error" in err
@@ -168,6 +174,12 @@ def test_unavoidable_classification(capsys):
     assert data["smallest_size"] == 2
     assert data["min_size_conjecture_consistent"] is True
     assert data["horizon_relative"] is True
+
+
+@pytest.mark.parametrize("argv", [("--k", "3"), ("--set", "[1~2~3] [1~3~2]")])
+def test_unavoidable_horizon_below_k(capsys, argv):
+    code, out, err = run(capsys, "unavoidable", *argv, "--horizon", "2")
+    assert code == 2 and out == "" and "horizon" in err
 
 
 def test_unavoidable_set_report(capsys):

@@ -172,13 +172,16 @@ def test_requires_cyclic_patterns():
 
 
 def test_seam_search_agrees_with_rotation_matcher():
-    # cyclic containment decomposes into an in-word occurrence plus a
-    # seam-crossing one; the engine's seam check (window lookups for totally
-    # vincular patterns, the doubled-word placement program with its span
-    # guard for the rest) must account for exactly the second kind on every
-    # host, not just pruned leaves, when compared against the
-    # rotation-scanning matcher. Patterns whose canonical form does not start
-    # with 1 are the ones that can match across the seam in a single block.
+    # cyclic containment decomposes into a linear occurrence of some wrap-free
+    # representative inside the word, which the prefix check rejects, plus
+    # the rest, which crosses the seam; the engine's seam check (window
+    # lookups for totally vincular patterns, one anchored placement of the
+    # patterns whose 1 is bonded to its cyclic predecessor) must account for
+    # exactly the second kind on every host, not just pruned leaves, when
+    # compared against the rotation-scanning matcher. Patterns whose
+    # canonical form does not start with 1 are the ones that can match
+    # across the seam in a single block; [2~1~3,5,4] and [4,2~1,5,3] bond
+    # 1 to its predecessor with blocks between the two ends.
     from cycvin.enumeration import _Search
     from cycvin.matcher import _contains_cyclic_rep, _occurrences_word
     from cycvin.perms import all_cyclic_perms
@@ -187,17 +190,32 @@ def test_seam_search_agrees_with_rotation_matcher():
     pats = [parse_pattern(t) for t in (
         "[1~2,3]", "[1~3,2]", "[1~2~3]", "[1~3~2]", "[1,2,3]",
         "[1~2,3,4]", "[1~3,4,2]", "[2~3,1,4]", "[1~2~3,4]", "[1~2,3~4]", "[1~2~3~4]",
-        "[2~3~1]", "[3~1~2]", "[2~1,3]", "[2,3~1]",
+        "[2~3~1]", "[3~1~2]", "[2~1,3]", "[2,3~1]", "[2~1~3,5,4]", "[4,2~1,5,3]",
     )]
-    for n in range(1, 8):
-        searches = [(p, _Search(PatternSet(frozenset({p})), n, None)) for p in pats]
+    for n in range(1, 9):
+        searches = [(p, p.wrap_free_reps(), _Search(PatternSet(frozenset({p})), n, None))
+                    for p in pats]
         for c in all_cyclic_perms(n):
             word = c.canonical.values
-            for p, search in searches:
+            for p, reps, search in searches:
                 by_rotations = _contains_cyclic_rep(c, p.values, p.bonds)
-                interior = next(_occurrences_word(word, p.values, p.bonds), None) is not None
+                interior = any(next(_occurrences_word(word, values, bonds), None) is not None
+                               for values, bonds in reps)
                 assert by_rotations == (interior or not search.seam_clean(word)), (
                     str(c), str(p))
+
+
+def test_seam_programs_are_compiled_for_a_bonded_1_only():
+    # only a pattern whose 1 is bonded to its cyclic predecessor can cross
+    # the seam unseen by the prefix check; totally vincular patterns use
+    # window lookups instead
+    from cycvin.enumeration import _Search
+
+    for text in ("[1~2,3,4]", "[1~2,4,3]", "[1~3,2,4]", "[1~3,4,2]", "[1~4,2,3]",
+                 "[1~4,3,2]", "[2~3,1,4]", "[2~3,4,1]", "[2~1]"):
+        assert _Search(PatternSet.from_texts(text), 8, None).seam == [], text
+    for text in ("[2~1,3]", "[2,3~1]", "[2~1~3,5,4]"):
+        assert len(_Search(PatternSet.from_texts(text), 8, None).seam) == 1, text
 
 
 @pytest.mark.parametrize("texts, n, nodes", [

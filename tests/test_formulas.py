@@ -76,6 +76,11 @@ def test_dyck_uudd_explicit_agrees():
         F.dyck_uudd_explicit(1)
 
 
+def test_dyck_uudd_large_n():
+    # computed bottom-up: no recursion depth grows with n
+    assert F.dyck_uudd(1000) == F.dyck_uudd_explicit(1000)
+
+
 def test_strongly_monotone_values():
     assert [F.strongly_monotone(n) for n in range(10)] == STRONGLY_MONOTONE
 
