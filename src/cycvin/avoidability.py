@@ -248,8 +248,10 @@ def classify_minimal_unavoidable(k: int, horizon: int, *,
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if horizon < k:
-        raise ValueError(f"horizon must be >= k = {k}")
+    if horizon <= k:
+        # a set counts only when Av_{horizon-1} is empty too, and every
+        # permutation shorter than k avoids it
+        raise ValueError(f"horizon must be > k = {k}")
     patterns = sorted(all_totally_vincular(k), key=lambda p: p.values)
     found: list[frozenset[Pattern]] = []
     minimal_sets: list[list[str]] = []

@@ -43,32 +43,34 @@ and the values a final entry may take form one interval. `matcher` shares
 none of this code and stays the oracle.
 
 The search forest is split into n-1 shards by the value of sigma_2, and
-`_Search.leaves(v2)` streams the avoiders of one shard. Counts and refined
-counts share one shard driver, in which a shard's tally is its number of
-avoiders or a Counter of a `STATS` statistic. One search object walks the
-shards in order and counts nodes (the root once per shard) across all of
-them, so the node budget is global: BudgetExceededError is raised when the
-running total first exceeds the budget, with nodes = budget + 1. With
-jobs > 1 the shards run in worker processes and their (tally, nodes) pairs
-are combined in shard order under the same rule, so no result depends on
-the number of workers; at most jobs + 1 shards are handed out at a time,
-so after an overrun only those run to their end. Enumeration yields each
-avoider as soon as it is found, so a caller that stops early pays only for
-the nodes visited so far.
+`_Search.leaves(v2)` streams the avoiders of one shard; `leaves(None)` walks
+every shard from one root. Counts and refined counts share one shard
+driver, in which a shard's tally is its number of avoiders or a Counter of a
+`STATS` statistic. One search object walks the shards in order and counts
+nodes (the root once per shard) across all of them, so the node budget is
+global: BudgetExceededError is raised when the running total first exceeds
+the budget, with nodes = budget + 1. With jobs > 1 the shards run in worker
+processes and their (tally, nodes) pairs are combined in shard order under
+the same rule, so no result depends on the number of workers; at most
+jobs + 1 shards are handed out at a time, so after an overrun only those
+run to their end. Enumeration yields each avoider as soon as it is found, so
+a caller that stops early pays only for the nodes visited so far.
 
-When every pattern of a non-empty set is totally vincular, a plain count
-does not walk the leaves (the transfer-matrix view of consecutive patterns:
-Goulden and Jackson's cluster method; Elizalde and Noy, "Consecutive
-patterns in permutations", Adv. Appl. Math. 30, 2003). Whether a prefix of
-length m completes to an avoider then depends only on the relative order of
-sigma_2..sigma_{k-1} (the seam windows read them; sigma_1 = 1 is the global
-minimum), the last k-1 entries and the unused values. `count_by_state`
-memoizes subtree counts on m and the ranks of those tracked entries among
-the tracked and unused values, from m = 2k-2 on, where the two tracked runs
-are disjoint. It checks prefixes and leaves as `leaves` does and draws on the
-same node counter and budget, but one memo spans all shards, so it runs in
-the calling process for any jobs. Refined counts, enumeration and the
-avoidability searches need the leaves themselves and stay on `leaves`.
+`leaves` is the only search loop; a plain count of a non-empty set of
+totally vincular patterns gives it a memo (the transfer-matrix view of
+consecutive patterns: Goulden and Jackson's cluster method; Elizalde and
+Noy, "Consecutive patterns in permutations", Adv. Appl. Math. 30, 2003).
+Whether a prefix of length m completes to an avoider then depends only on
+the relative order of sigma_2..sigma_{k-1} (the seam windows read them;
+sigma_1 = 1 is the global minimum), the last k-1 entries and the unused
+values. From m = 2k-2 on, where the two tracked runs are disjoint, an
+accepted word is keyed by m and the ranks of those tracked entries among
+the tracked and unused values. Its subtree count is stored when its frame
+is popped, and a later word with the same key adds that count without being
+descended into. `count_by_state` walks every shard from one root with the
+memo, so one memo spans all shards and the count runs in the calling
+process for any jobs. Every other search (refined counts, enumeration, the
+avoidability searches) has no memo and reads the leaves themselves.
 """
 
 from __future__ import annotations
@@ -230,6 +232,8 @@ class _Search:
                      for blocks in (p.blocks() for p in general)
                      for i, b in enumerate(blocks) if 1 in b[1:]]
         self.h = [0, n + 1] + [0] * self.k
+        self.found = 0  # avoiders found so far, memo hits included
+        self.memo: dict[tuple[int, ...], int] | None = None
 
     def window_mask(self, word: Sequence[int]) -> int:
         """Bitset of the values whose appending to the word completes a
@@ -248,24 +252,33 @@ class _Search:
         return mask
 
     def leaves(self, v2: int | None) -> Iterator[tuple[int, ...]]:
-        """Yield the avoiders with sigma_2 = v2 (v2 is None when n = 1) in
-        lexicographic order. The search keeps its stack of frames
-        explicitly, so it can stop at any leaf."""
-        n, budget = self.n, self.budget
+        """Yield the avoiders with sigma_2 = v2 in lexicographic order. With
+        v2 None (always when n = 1) every shard is walked from one root,
+        which counts as one node, not one per shard. The search keeps its
+        stack of frames explicitly, so it can stop at any leaf; `found`
+        counts the avoiders found so far. With a memo (only `count_by_state`
+        sets one) a word whose window state is memoized adds the stored
+        count to `found` and is not descended into, so the walk then yields
+        only the leaves it reaches."""
+        n, k, budget, memo = self.n, self.k, self.budget, self.memo
         narrow, wide, h = self.narrow, self.wide, self.h
         word: list[int] = []
         used = [False] * (n + 1)
         # one frame per word on the path: its children, the values that
         # complete a narrow occurrence after it (inherited by its children),
-        # and the values rejected among its children
-        stack: list[tuple[Iterator[int], int, int]] = [(iter((1,)), 0, self.window_mask(word))]
+        # the values rejected among its children, its memo key (or None) and
+        # `found` when it was pushed
+        stack: list[tuple[Iterator[int], int, int, tuple[int, ...] | None, int]] = [
+            (iter((1,)), 0, self.window_mask(word), None, self.found)]
         while stack:
-            children, grown, bad = stack[-1]
+            children, grown, bad, key, before = stack[-1]
             for v in children:
                 if not used[v]:
                     break
             else:
                 stack.pop()
+                if key is not None:
+                    memo[key] = self.found - before
                 if word:
                     used[word.pop()] = False
                 continue
@@ -277,12 +290,25 @@ class _Search:
             if not (bad >> v & 1 or (wide and any(_ends_at_last(word, prog, h) for prog in wide))):
                 m = len(word)
                 if m < n:
+                    key = None
+                    if memo is not None and m >= 2 * k - 2:
+                        # sigma_2..sigma_{k-1} and the last k-1 entries, ranked
+                        # among themselves and the unused values
+                        tracked = word[1:k - 1] + word[m - k + 1:]
+                        pool = sorted(tracked + [u for u in range(2, n + 1) if not used[u]])
+                        key = (m, *map(pool.index, tracked))
+                        hit = memo.get(key)
+                        if hit is not None:
+                            self.found += hit
+                            used[word.pop()] = False
+                            continue
                     for prog in narrow:
                         grown |= _completed_at_next(word, prog, h)
-                    stack.append((iter((v2,) if m == 1 else range(2, n + 1)), grown,
-                                  grown | self.window_mask(word)))
+                    stack.append((iter((v2,) if m == 1 and v2 else range(2, n + 1)), grown,
+                                  grown | self.window_mask(word), key, self.found))
                     continue
                 if self.seam_clean(word):
+                    self.found += 1
                     yield tuple(word)
             used[word.pop()] = False
 
@@ -308,51 +334,23 @@ class _Search:
         return True
 
     def count_by_state(self) -> int:
-        """The number of avoiders of a set of totally vincular patterns, with
-        subtree counts memoized on the window state instead of walked leaf by
-        leaf. Nodes count as in `leaves` (every appended value, a memo hit
-        included), except that the root is one node, not one per shard."""
-        n, k, budget, forbidden = self.n, self.k, self.budget, self.forbidden
-        word: list[int] = []
-        used = [False] * (n + 1)
-        memo: dict[tuple[int, ...], int] = {}
-
-        def grow(v: int) -> int:
-            word.append(v)
-            used[v] = True
-            self.nodes += 1
-            if self.nodes > budget:
-                raise BudgetExceededError("node budget exceeded", self.nodes, n)
-            m = len(word)
-            if m >= k and reduce_window(word[-k:]) in forbidden:
-                total = 0
-            elif m == n:
-                total = int(self.seam_clean(word))
-            else:
-                free = [u for u in range(2, n + 1) if not used[u]]
-                if m < 2 * k - 2:
-                    total = sum(map(grow, free))
-                else:
-                    # sigma_2..sigma_{k-1} and the last k-1 entries, ranked
-                    # among themselves and the unused values
-                    tracked = word[1:k - 1] + word[m - k + 1:]
-                    pool = sorted(tracked + free)
-                    key = (m, *map(pool.index, tracked))
-                    total = memo.get(key, -1)
-                    if total < 0:
-                        total = memo[key] = sum(map(grow, free))
-            used[word.pop()] = False
-            return total
-
-        try:
-            return grow(1)
-        finally:
-            del grow  # grow refers to itself; free the memo now, not at a later gc pass
+        """The number of avoiders of a set of totally vincular patterns: the
+        walk of `leaves(None)` with a fresh memo, so subtree counts are
+        memoized on the window state instead of walked leaf by leaf. Nodes
+        count as in `leaves` (every appended value, a memo hit included),
+        and the root is one node, not one per shard. The memo is kept in
+        `memo`, one entry per window state."""
+        self.memo = {}
+        return self.tally(None, None)
 
     def tally(self, v2: int | None, stat: str | None) -> int | Counter[int]:
-        """The number of avoiders of one shard, or a Counter of a statistic."""
-        leaves = self.leaves(v2)
-        return sum(1 for _ in leaves) if stat is None else Counter(map(STATS[stat], leaves))
+        """The number of avoiders of one shard (v2 None: of all shards), or a
+        Counter of a statistic."""
+        if stat is not None:
+            return Counter(map(STATS[stat], self.leaves(v2)))
+        before = self.found
+        deque(self.leaves(v2), maxlen=0)
+        return self.found - before
 
 
 def _validate(pset: PatternSet, n: int) -> None:

@@ -175,6 +175,14 @@ def test_classification_needs_horizon_at_least_k():
         classify_minimal_unavoidable(3, 2)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_classification_needs_horizon_above_k(k):
+    # a set also needs Av_{horizon-1} empty, and at horizon k that class holds
+    # every permutation
+    with pytest.raises(ValueError, match="horizon"):
+        classify_minimal_unavoidable(k, k)
+
+
 def test_classification_bounded_scan_is_marked_incomplete():
     cls = classify_minimal_unavoidable(4, 6, max_subsets=200)
     assert not cls.complete

@@ -182,6 +182,14 @@ def test_unavoidable_horizon_below_k(capsys, argv):
     assert code == 2 and out == "" and "horizon" in err
 
 
+def test_unavoidable_classification_horizon_at_k(capsys):
+    # no set can be recorded at horizon k, so there is no report to print
+    code, out, err = run(capsys, "unavoidable", "--k", "3", "--horizon", "3")
+    assert code == 2 and out == "" and "horizon" in err
+    code, out, _ = run(capsys, "unavoidable", "--set", "[1~2~3] [1~3~2]", "--horizon", "3")
+    assert code == 0 and json.loads(out)["horizon"] == 3
+
+
 def test_unavoidable_set_report(capsys):
     code, out, _ = run(capsys, "unavoidable", "--set", "[1~2~3] [1~3~2]", "--horizon", "7")
     assert code == 0

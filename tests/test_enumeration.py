@@ -408,6 +408,12 @@ def test_state_count_matches_leaves_on_sampled_k4_sets():
         s = PatternSet(frozenset(rng.sample(TV4, rng.randint(1, 8))))
         for n in range(1, 9):
             assert _Search(s, n, None).count_by_state() == _leaf_count(s, n), (s, n)
+    # at k=5 the memo first hits at n = 10; large sets keep the leaf walk short
+    tv5 = list(all_totally_vincular(5))
+    for _ in range(2):
+        s = PatternSet(frozenset(rng.sample(tv5, rng.randint(64, 72))))
+        for n in range(1, 11):
+            assert _Search(s, n, None).count_by_state() == _leaf_count(s, n), (s, n)
 
 
 @pytest.mark.parametrize("n", [12, 16, 20])
@@ -424,8 +430,23 @@ def test_state_count_nodes_are_pinned():
     search = _Search(s, 10, None)
     assert search.count_by_state() == 9460
     assert search.nodes == 4590 < 17664
+    assert len(search.memo) == 946
     # count_avoiders takes this path in this process for every jobs, under
     # the same budget rule
     for jobs in (1, 2):
         assert _budget_outcome(s, 10, 4590, jobs) == ("count", 9460)
         assert _budget_outcome(s, 10, 4589, jobs) == ("budget", 4590)
+
+
+@pytest.mark.parametrize("texts", [("[1~2~3]", "[2~3~1]"), ("[2~3,4,1]",)])
+def test_one_root_walks_every_shard(texts):
+    # leaves(None) without a memo yields the shards' leaves in shard order and
+    # counts the root once instead of once per shard
+    s = PatternSet.from_texts(*texts)
+    for n in range(1, 8):
+        per_shard = _Search(s, n, None)
+        leaves = [w for v2 in _shards(n) for w in per_shard.leaves(v2)]
+        one_root = _Search(s, n, None)
+        assert list(one_root.leaves(None)) == leaves, n
+        assert one_root.nodes == per_shard.nodes - (len(_shards(n)) - 1), n
+        assert one_root.memo is None
