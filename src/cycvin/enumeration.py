@@ -273,44 +273,46 @@ class _Search:
         while stack:
             children, grown, bad, key, before = stack[-1]
             for v in children:
-                if not used[v]:
-                    break
+                if used[v]:
+                    continue
+                self.nodes += 1
+                if self.nodes > budget:
+                    raise BudgetExceededError("node budget exceeded", self.nodes, n)
+                if bad >> v & 1:
+                    continue
+                word.append(v)
+                used[v] = True
+                if not (wide and any(_ends_at_last(word, prog, h) for prog in wide)):
+                    m = len(word)
+                    if m < n:
+                        state = None
+                        if memo is not None and m >= 2 * k - 2:
+                            # sigma_2..sigma_{k-1} and the last k-1 entries,
+                            # ranked among themselves and the unused values
+                            tracked = word[1:k - 1] + word[m - k + 1:]
+                            pool = sorted(tracked + [u for u in range(2, n + 1) if not used[u]])
+                            state = (m, *map(pool.index, tracked))
+                            hit = memo.get(state)
+                            if hit is not None:
+                                self.found += hit
+                                used[word.pop()] = False
+                                continue
+                        # descend; this word's siblings resume when its frame is popped
+                        for prog in narrow:
+                            grown |= _completed_at_next(word, prog, h)
+                        stack.append((iter((v2,) if m == 1 and v2 else range(2, n + 1)), grown,
+                                      grown | self.window_mask(word), state, self.found))
+                        break
+                    if self.seam_clean(word):
+                        self.found += 1
+                        yield tuple(word)
+                used[word.pop()] = False
             else:
                 stack.pop()
                 if key is not None:
                     memo[key] = self.found - before
                 if word:
                     used[word.pop()] = False
-                continue
-            word.append(v)
-            used[v] = True
-            self.nodes += 1
-            if self.nodes > budget:
-                raise BudgetExceededError("node budget exceeded", self.nodes, n)
-            if not (bad >> v & 1 or (wide and any(_ends_at_last(word, prog, h) for prog in wide))):
-                m = len(word)
-                if m < n:
-                    key = None
-                    if memo is not None and m >= 2 * k - 2:
-                        # sigma_2..sigma_{k-1} and the last k-1 entries, ranked
-                        # among themselves and the unused values
-                        tracked = word[1:k - 1] + word[m - k + 1:]
-                        pool = sorted(tracked + [u for u in range(2, n + 1) if not used[u]])
-                        key = (m, *map(pool.index, tracked))
-                        hit = memo.get(key)
-                        if hit is not None:
-                            self.found += hit
-                            used[word.pop()] = False
-                            continue
-                    for prog in narrow:
-                        grown |= _completed_at_next(word, prog, h)
-                    stack.append((iter((v2,) if m == 1 and v2 else range(2, n + 1)), grown,
-                                  grown | self.window_mask(word), key, self.found))
-                    continue
-                if self.seam_clean(word):
-                    self.found += 1
-                    yield tuple(word)
-            used[word.pop()] = False
 
     def seam_clean(self, word: Sequence[int]) -> bool:
         """No occurrence of a pattern crosses the seam of the complete word.
