@@ -297,7 +297,8 @@ class _Search:
                                 self.found += hit
                                 used[word.pop()] = False
                                 continue
-                        # descend; this word's siblings resume when its frame is popped
+                        # descend: `children` resumes, and `grown` is read again, once
+                        # the new frame is popped
                         for prog in narrow:
                             grown |= _completed_at_next(word, prog, h)
                         stack.append((iter((v2,) if m == 1 and v2 else range(2, n + 1)), grown,
