@@ -12,9 +12,12 @@ repeated blow-up) are valid for every length they are defined at,
 independent of any horizon.
 
 Existence questions are answered by the first leaf of the enumeration
-engine (`enumeration.enumerate_avoiders`); this module has no search of its
-own. A search that exhausts its node budget raises
-`enumeration.BudgetExceededError`, which the CLI reports with exit code 3.
+engine (`enumeration.first_avoider`); this module has no search of its own.
+Every set here is totally vincular, so that search is memoized on the window
+state: a subtree it has finished holds no avoider, and a later prefix in the
+same state is skipped. A search that exhausts its node budget raises
+`enumeration.BudgetExceededError`, which the CLI reports with exit code 3
+(`cycvin unavoidable --budget-nodes`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .enumeration import enumerate_avoiders
+from .enumeration import first_avoider
 from .patterns import CYCLIC, Pattern, PatternSet, all_totally_vincular
 from .perms import CyclicPerm, LinearPerm, canonicalize
 
@@ -134,13 +137,14 @@ def find_avoider(pset: PatternSet, n: int, *, budget: int | None = None) -> Cycl
     """Lexicographically first avoider of a totally vincular cyclic pattern
     set, or None if Av_n is empty.
 
-    The search stops at its first leaf; it raises BudgetExceededError once it
-    has visited more than `budget` nodes (by default DEFAULT_BUDGET).
+    The memoized search stops at its first leaf; it raises
+    BudgetExceededError once it has visited more than `budget` nodes (by
+    default DEFAULT_BUDGET), counting the root once and a memo hit as one.
     """
     if pset.patterns and (pset.kind != CYCLIC
                           or not all(p.totally_vincular for p in pset.patterns)):
         raise ValueError("find_avoider requires totally vincular cyclic patterns")
-    return next(enumerate_avoiders(pset, n, budget=budget), None)
+    return first_avoider(pset, n, budget=budget)
 
 
 @dataclass

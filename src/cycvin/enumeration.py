@@ -23,9 +23,12 @@ The prefix check is mostly a bit test. Each word on the search path carries
 a mask: the values whose appending completes an occurrence ending at the
 new entry. It is computed once per word, and each child is then rejected by
 `mask >> v & 1` (after it is counted as a node). Two sources feed the mask.
-A table built once from the totally vincular patterns maps the reduction of
-the last k-1 entries to the ranks a new value must not take, and the sorted
-last k-1 entries turn those ranks into value intervals. The other patterns
+For the totally vincular patterns, a table built once per search maps the
+reduction of the last k-1 entries to the ranks a new value must not take.
+One window table shared by every search in the process maps those k-1
+entries themselves (the tail) to their reduction and the value interval of
+each rank, so the mask is a lookup and an OR; the seam windows read the same
+table. The other patterns
 are compiled once into placement programs, one per wrap-free
 representative. A representative whose last block has width 1 is compiled
 as its last earlier block (anchored at the end of the word), the other
@@ -56,21 +59,26 @@ jobs + 1 shards are handed out at a time, so after an overrun only those
 run to their end. Enumeration yields each avoider as soon as it is found, so
 a caller that stops early pays only for the nodes visited so far.
 
-`leaves` is the only search loop; a plain count of a non-empty set of
-totally vincular patterns gives it a memo (the transfer-matrix view of
-consecutive patterns: Goulden and Jackson's cluster method; Elizalde and
-Noy, "Consecutive patterns in permutations", Adv. Appl. Math. 30, 2003).
-Whether a prefix of length m completes to an avoider then depends only on
-the relative order of sigma_2..sigma_{k-1} (the seam windows read them;
-sigma_1 = 1 is the global minimum), the last k-1 entries and the unused
-values. From m = 2k-2 on, where the two tracked runs are disjoint, an
-accepted word is keyed by m and the ranks of those tracked entries among
-the tracked and unused values. Its subtree count is stored when its frame
-is popped, and a later word with the same key adds that count without being
-descended into. `count_by_state` walks every shard from one root with the
-memo, so one memo spans all shards and the count runs in the calling
-process for any jobs. Every other search (refined counts, enumeration, the
-avoidability searches) has no memo and reads the leaves themselves.
+`leaves` is the only search loop; a search of a non-empty set of totally
+vincular patterns that counts or stops at its first leaf gives it a memo
+(the transfer-matrix view of consecutive patterns: Goulden and Jackson's
+cluster method; Elizalde and Noy, "Consecutive patterns in permutations",
+Adv. Appl. Math. 30, 2003). Whether a prefix of length m completes to an
+avoider then depends only on the relative order of sigma_2..sigma_{k-1}
+(the seam windows read them; sigma_1 = 1 is the global minimum), the last
+k-1 entries and the unused values. From m = 2k-1 on, where an untracked
+entry separates the two tracked runs, an accepted word is keyed by m and
+the rank of each tracked value t among the tracked and unused values:
+t minus the number of untracked entries below t, one popcount of their
+bitset. Its subtree count is stored when its frame is popped, and a later
+word with the same key adds that count without being descended into. Both
+memoized searches walk every shard from one root, so one memo spans all
+shards. `count_by_state` folds the counts (and runs in the calling process
+for any jobs); `first_avoider` is the exists fold: it stops at its first
+leaf, so every subtree it finishes holds no avoider, stores 0, and a later
+word with the same key is skipped. Every other search (refined counts,
+enumeration) has no memo and reads the leaves themselves: a listing must
+reach every leaf, which a memo hit skips.
 """
 
 from __future__ import annotations
@@ -80,6 +88,7 @@ import time
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
@@ -170,6 +179,17 @@ def _between(lo: int, hi: int) -> int:
     return (1 << hi) - (2 << lo)
 
 
+@cache
+def _windows(tail: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The reduction of a tail (the last k-1 entries of a word) and, for each
+    rank r = 1..k, the bitset of the values a new entry of rank r among the
+    tail and itself can take. The top rank's bitset is negative: every value
+    above the tail's largest entry. So the table depends neither on n nor on
+    the pattern set, and every search shares it, one entry per tail."""
+    bounds = [0, *sorted(tail)]
+    return reduce_window(tail), (*map(_between, bounds, bounds[1:]), -(2 << bounds[-1]))
+
+
 def _final_values(word: Sequence[int], prog: _Program, bi: int, start: int, stop: int,
                   h: list[int]) -> int:
     """Place steps bi.. of the program, all but its final one-entry step, left
@@ -206,11 +226,10 @@ class _Search:
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.nodes = 0
         self.k = pset.k or 0
-        self.forbidden = frozenset(p.values for p in pset.patterns if p.totally_vincular)
         # the ranks of a new value that complete a forbidden window, keyed by
         # the reduction of the k-1 entries before it
         self.window_ranks: dict[tuple[int, ...], list[int]] = {}
-        for values in self.forbidden:
+        for values in {p.values for p in pset.patterns if p.totally_vincular}:
             self.window_ranks.setdefault(reduce_window(values[:-1]), []).append(values[-1])
         general = [p for p in pset.patterns if not p.totally_vincular]
         # wrap-free representatives ending in a block of width 1 feed the
@@ -233,6 +252,7 @@ class _Search:
                      for i, b in enumerate(blocks) if 1 in b[1:]]
         self.h = [0, n + 1] + [0] * self.k
         self.found = 0  # avoiders found so far, memo hits included
+        self.hits = 0  # words skipped by a memo hit
         self.memo: dict[tuple[int, ...], int] | None = None
 
     def window_mask(self, word: Sequence[int]) -> int:
@@ -241,14 +261,10 @@ class _Search:
         m, k = len(word), self.k
         if not self.window_ranks or m < k - 1:
             return 0
-        tail = word[m - k + 1:]
-        ranks = self.window_ranks.get(reduce_window(tail))
-        if ranks is None:
-            return 0
-        bounds = [0, *sorted(tail), self.n + 1]
+        reduction, intervals = _windows(tuple(word[m - k + 1:]))
         mask = 0
-        for r in ranks:
-            mask |= _between(bounds[r - 1], bounds[r])
+        for r in self.window_ranks.get(reduction, ()):
+            mask |= intervals[r - 1]
         return mask
 
     def leaves(self, v2: int | None) -> Iterator[tuple[int, ...]]:
@@ -257,13 +273,20 @@ class _Search:
         which counts as one node, not one per shard. The search keeps its
         stack of frames explicitly, so it can stop at any leaf; `found`
         counts the avoiders found so far. With a memo (only `count_by_state`
-        sets one) a word whose window state is memoized adds the stored
-        count to `found` and is not descended into, so the walk then yields
-        only the leaves it reaches."""
+        and `first_avoider` set one) a word whose window state is memoized
+        adds the stored count to `found`, counts in `hits` and is not
+        descended into, so the walk then yields only the leaves it
+        reaches."""
         n, k, budget, memo = self.n, self.k, self.budget, self.memo
         narrow, wide, h = self.narrow, self.wide, self.h
         word: list[int] = []
         used = [False] * (n + 1)
+        # words are keyed from the first length at which an untracked entry
+        # lies between sigma_2..sigma_{k-1} and the last k-1 entries (at
+        # m = 2k-2 every key would be new); mid[m] is the bitset of those
+        # untracked entries, sigma_k..sigma_{m-k+1}
+        keyed = n if memo is None else 2 * k - 1
+        mid = [0] * (n + 1)
         # one frame per word on the path: its children, the values that
         # complete a narrow occurrence after it (inherited by its children),
         # the values rejected among its children, its memo key (or None) and
@@ -286,14 +309,15 @@ class _Search:
                     m = len(word)
                     if m < n:
                         state = None
-                        if memo is not None and m >= 2 * k - 2:
+                        if m >= keyed:
+                            mid[m] = between = mid[m - 1] | 1 << word[m - k]
                             # sigma_2..sigma_{k-1} and the last k-1 entries,
                             # ranked among themselves and the unused values
-                            tracked = word[1:k - 1] + word[m - k + 1:]
-                            pool = sorted(tracked + [u for u in range(2, n + 1) if not used[u]])
-                            state = (m, *map(pool.index, tracked))
+                            state = (m, *[t - (between & ((1 << t) - 1)).bit_count()
+                                          for t in word[1:k - 1] + word[m - k + 1:]])
                             hit = memo.get(state)
                             if hit is not None:
+                                self.hits += 1
                                 self.found += hit
                                 used[word.pop()] = False
                                 continue
@@ -325,10 +349,12 @@ class _Search:
         n, k, h = len(word), self.k, self.h
         if n < k:
             return True
-        if self.forbidden:
+        if self.window_ranks:
+            # a window across the seam is forbidden when its last entry is in
+            # the window mask of the k-1 entries before it
             ends = word[n - k + 1:] + word[:k - 1]
             for s in range(k - 1):
-                if reduce_window(ends[s:s + k]) in self.forbidden:
+                if self.window_mask(ends[s:s + k - 1]) >> ends[s + k - 1] & 1:
                     return False
         for prog in self.seam:
             width, _room, entries = prog[0]
@@ -363,6 +389,12 @@ def _validate(pset: PatternSet, n: int) -> None:
         raise ValueError("enumeration requires cyclic patterns")
 
 
+def _by_state(pset: PatternSet) -> bool:
+    """Is the set non-empty and totally vincular, so that its searches can be
+    memoized on the window state?"""
+    return bool(pset.patterns) and all(p.totally_vincular for p in pset.patterns)
+
+
 def _shards(n: int) -> list[int | None]:
     return [None] if n == 1 else list(range(2, n + 1))
 
@@ -380,7 +412,7 @@ def _run_shards(pset: PatternSet, n: int, jobs: int, budget: int | None,
     _validate(pset, n)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if stat is None and pset.patterns and all(p.totally_vincular for p in pset.patterns):
+    if stat is None and _by_state(pset):
         # the memo spans the shards, so this count runs in this process
         # whatever jobs is
         return _Search(pset, n, budget).count_by_state()
@@ -425,6 +457,20 @@ def enumerate_avoiders(pset: PatternSet, n: int, *, budget: int | None = None) -
     for v2 in _shards(n):
         for word in search.leaves(v2):
             yield CyclicPerm(LinearPerm(word))
+
+
+def first_avoider(pset: PatternSet, n: int, *, budget: int | None = None) -> CyclicPerm | None:
+    """The lexicographically first avoider, or None if Av_n is empty: the
+    first leaf of `leaves(None)`, whose root counts as one node. A set of
+    totally vincular patterns gets a memo (the exists fold): the walk stops
+    at its first avoider, so every subtree it finishes holds none, and a
+    later word with the same window state is skipped."""
+    _validate(pset, n)
+    search = _Search(pset, n, budget)
+    if _by_state(pset):
+        search.memo = {}
+    word = next(search.leaves(None), None)
+    return None if word is None else CyclicPerm(LinearPerm(word))
 
 
 def count_avoiders_naive(pset: PatternSet, n: int) -> int:

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,7 @@ from cycvin.avoidability import (
     rotation_closure_complement,
     witness_minus_one,
 )
-from cycvin.enumeration import BudgetExceededError
+from cycvin.enumeration import BudgetExceededError, enumerate_avoiders
 from cycvin.matcher import avoids_set
 from cycvin.patterns import PatternSet, all_totally_vincular, parse_pattern
 from cycvin.perms import LinearPerm
@@ -149,24 +150,45 @@ def test_report_json_is_horizon_labeled():
 
 
 def test_classification_k3():
-    # the odd horizon 9 must not add the alternating pair, which is empty
-    # only at odd lengths
+    # the odd horizons must not add the alternating pair, which is empty only
+    # at odd lengths; the whole report is pinned, horizon 11 included
     expected = sorted(
-        tuple(sorted(str(p) for p in s))
+        sorted(str(p) for p in s)
         for s in [patterns_with_min_at(i, 3) for i in (1, 2, 3)]
         + [patterns_with_max_at(i, 3) for i in (1, 2, 3)]
     )
-    for horizon in (8, 9):
+    for horizon in (8, 9, 10, 11):
         cls = classify_minimal_unavoidable(3, horizon)
-        assert cls.complete
-        assert cls.smallest_size == 2
-        assert cls.min_size_conjecture_consistent
-        assert sorted(tuple(s) for s in cls.minimal_sets) == expected
-        # antichain bound: C(6, 3) = 20
-        assert len(cls.minimal_sets) <= 20
-        data = json.loads(cls.to_json())
-        assert data["horizon_relative"] is True
-        assert data["smallest_size"] == 2
+        assert json.loads(cls.to_json()) == {
+            "k": 3, "horizon": horizon, "minimal_sets": expected, "smallest_size": 2,
+            "min_size_conjecture_consistent": True, "complete": True,
+            "subsets_checked": 23, "horizon_relative": True,
+        }
+
+
+def _leaf_walk_first(s, n):
+    # the first leaf of the memo-free walk that enumerate_avoiders reads
+    return next(enumerate_avoiders(s, n), None)
+
+
+def test_find_avoider_matches_the_leaf_walk_on_every_k3_set():
+    pats = sorted(all_totally_vincular(3), key=lambda p: p.values)
+    for size in range(1, len(pats) + 1):
+        for combo in combinations(pats, size):
+            s = PatternSet(frozenset(combo))
+            for n in range(3, 11):
+                assert find_avoider(s, n) == _leaf_walk_first(s, n), (s.texts(), n)
+
+
+def test_find_avoider_matches_the_leaf_walk_on_sampled_k4_sets():
+    # the query sizes of the benchmark's find_avoider queries: about 60% of
+    # these sets have an avoider at n = 8
+    pats = sorted(all_totally_vincular(4), key=lambda p: p.values)
+    rng = random.Random(9)
+    for q in range(300):
+        s = PatternSet(frozenset(rng.sample(pats, 6 + q % 13)))
+        for n in (8, 9):
+            assert find_avoider(s, n) == _leaf_walk_first(s, n), (s.texts(), n)
 
 
 def test_classification_needs_horizon_at_least_k():

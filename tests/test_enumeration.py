@@ -23,7 +23,7 @@ from cycvin.avoidability import find_avoider, patterns_with_min_at
 from cycvin.formulas import av_consec_123, av_consec_132, catalan, updown
 from cycvin.matcher import avoids_set
 from cycvin.patterns import Pattern, PatternSet, all_totally_vincular
-from cycvin.perms import CyclicPerm, all_cyclic_perms
+from cycvin.perms import CyclicPerm, all_cyclic_perms, reduce_window
 from cycvin.verify import verify_pruning, verify_wilf_orbits
 
 
@@ -251,11 +251,13 @@ def test_first_leaf_nodes_are_pinned(pset, n, first, nodes):
 
 
 def test_find_avoider_budget_edge():
+    # find_avoider walks every shard from one root with the memo, so it visits
+    # fewer nodes than the per-shard first-leaf walk pinned above (6986)
     s = patterns_with_min_at(2, 4)
     with pytest.raises(BudgetExceededError) as info:
-        find_avoider(s, 8, budget=6985)
-    assert info.value.nodes == 6986
-    assert find_avoider(s, 8, budget=6986) is None
+        find_avoider(s, 8, budget=5869)
+    assert info.value.nodes == 5870
+    assert find_avoider(s, 8, budget=5870) is None
 
 
 @pytest.mark.parametrize("text", ["[1]", "[1~2]", "[2~1]", "[1,2]"])
@@ -430,12 +432,38 @@ def test_state_count_nodes_are_pinned():
     search = _Search(s, 10, None)
     assert search.count_by_state() == 9460
     assert search.nodes == 4590 < 17664
-    assert len(search.memo) == 946
+    assert len(search.memo) == 694
+    assert search.hits == 2118
     # count_avoiders takes this path in this process for every jobs, under
     # the same budget rule
     for jobs in (1, 2):
         assert _budget_outcome(s, 10, 4590, jobs) == ("count", 9460)
         assert _budget_outcome(s, 10, 4589, jobs) == ("budget", 4590)
+
+
+@pytest.mark.parametrize("texts", [("[1~2~3]",), ("[1~2~3]", "[2~3~1]")])
+def test_listing_has_no_memo(texts):
+    # at these n the memo of a count and of find_avoider hits; a listing
+    # walked with it would skip avoiders
+    s = PatternSet.from_texts(*texts)
+    for n in range(8, 11):
+        assert sum(1 for _ in enumerate_avoiders(s, n)) == count_avoiders(s, n), n
+
+
+def test_window_masks_match_reduce_window():
+    # the shared window table against a recompute of every window
+    rng = random.Random(5)
+    for k in range(3, 6):
+        pats = list(all_totally_vincular(k))
+        for _ in range(3):
+            s = PatternSet(frozenset(rng.sample(pats, rng.randint(1, len(pats) // 2))))
+            forbidden = {p.values for p in s}
+            for n in range(k - 1, 8):
+                search = _Search(s, n, None)
+                for tail in itertools.permutations(range(1, n + 1), k - 1):
+                    expected = sum(1 << v for v in range(1, n + 1) if v not in tail
+                                   and reduce_window(tail + (v,)) in forbidden)
+                    assert search.window_mask(tail) & ((2 << n) - 1) == expected, (s, tail)
 
 
 @pytest.mark.parametrize("texts", [("[1~2~3]", "[2~3~1]"), ("[2~3,4,1]",)])
