@@ -172,11 +172,13 @@ def _cmd_bijection_check(args: argparse.Namespace) -> int:
 
 def _cmd_unavoidable(args: argparse.Namespace) -> int:
     if args.set is not None:
-        report = avoidable_up_to(_parse_set(args.set), args.horizon)
+        report = avoidable_up_to(_parse_set(args.set), args.horizon,
+                                 budget=args.budget_nodes)
         sys.stdout.write(report.to_json())
         return EXIT_OK
     report = classify_minimal_unavoidable(args.k, args.horizon,
-                                          max_subsets=args.max_subsets)
+                                          max_subsets=args.max_subsets,
+                                          budget=args.budget_nodes)
     sys.stdout.write(report.to_json())
     return EXIT_OK
 
@@ -276,6 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=8)
     p.add_argument("--max-subsets", type=int, default=None,
                    help="bound the lattice scan (report marked incomplete)")
+    add_budget(p)
     p.set_defaults(func=_cmd_unavoidable)
 
     p = sub.add_parser("witness", help="build and verify an avoidance witness")

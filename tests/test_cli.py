@@ -190,6 +190,14 @@ def test_unavoidable_classification_horizon_at_k(capsys):
     assert code == 0 and json.loads(out)["horizon"] == 3
 
 
+@pytest.mark.parametrize("argv", [("--k", "3"), ("--set", "[1~2~3] [2~3~1]")])
+def test_unavoidable_budget_exit_code(capsys, argv):
+    code, out, err = run(capsys, "unavoidable", *argv, "--horizon", "8", "--budget-nodes", "10")
+    assert code == 3 and out == "" and "budget" in err
+    code, out, _ = run(capsys, "unavoidable", *argv, "--horizon", "8")
+    assert code == 0 and json.loads(out)["horizon"] == 8
+
+
 def test_unavoidable_set_report(capsys):
     code, out, _ = run(capsys, "unavoidable", "--set", "[1~2~3] [1~3~2]", "--horizon", "7")
     assert code == 0
