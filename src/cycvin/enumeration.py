@@ -285,7 +285,7 @@ class _Search:
         # lies between sigma_2..sigma_{k-1} and the last k-1 entries (at
         # m = 2k-2 every key would be new); mid[m] is the bitset of those
         # untracked entries, sigma_k..sigma_{m-k+1}
-        keyed = n if memo is None else 2 * k - 1
+        keyed = 2 * k - 1
         mid = [0] * (n + 1)
         # one frame per word on the path: its children, the values that
         # complete a narrow occurrence after it (inherited by its children),
@@ -309,7 +309,7 @@ class _Search:
                     m = len(word)
                     if m < n:
                         state = None
-                        if m >= keyed:
+                        if memo is not None and m >= keyed:
                             mid[m] = between = mid[m - 1] | 1 << word[m - k]
                             # sigma_2..sigma_{k-1} and the last k-1 entries,
                             # ranked among themselves and the unused values
