@@ -256,6 +256,8 @@ def classify_minimal_unavoidable(k: int, horizon: int, *,
         # a set counts only when Av_{horizon-1} is empty too, and every
         # permutation shorter than k avoids it
         raise ValueError(f"horizon must be > k = {k}")
+    if max_subsets is not None and max_subsets < 1:
+        raise ValueError("max_subsets must be >= 1")
     patterns = sorted(all_totally_vincular(k), key=lambda p: p.values)
     found: list[frozenset[Pattern]] = []
     minimal_sets: list[list[str]] = []

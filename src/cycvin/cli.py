@@ -255,8 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="1: length-3 doubleton classes; 2: length-4 single-bond classes")
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--extended", action="store_true",
-                   help="also run the tail rows: table 1 to n = 13 (seconds), "
-                        "table 2 to n = 12 (slow)")
+                   help="also run the tail rows: table 1 to n = 13, table 2 to n = 12 "
+                        "(seconds each)")
     add_common(p)
     p.set_defaults(func=_cmd_table)
 
@@ -302,6 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "budget_nodes", None) is not None and args.budget_nodes < 1:
+        print("error: --budget-nodes must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (PatternSyntaxError, ValueError) as exc:

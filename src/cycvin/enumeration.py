@@ -79,6 +79,13 @@ leaf, so every subtree it finishes holds no avoider, stores 0, and a later
 word with the same key is skipped. Every other search (refined counts,
 enumeration) has no memo and reads the leaves themselves: a listing must
 reach every leaf, which a memo hit skips.
+
+A plain count of a set with no totally vincular pattern and no pattern that
+bonds its 1 to its cyclic predecessor (so no seam program) runs a second
+memoized walk, `occurrence.count_by_occurrence`: its state is the number of
+unused values and the set of live partial occurrences, each projected onto
+the unused values (the gap vectors of enumeration schemes). It counts nodes
+like `count_by_state` and starts no pool.
 """
 
 from __future__ import annotations
@@ -222,6 +229,7 @@ class _Search:
     """The backtracking engine for one pattern set and length n."""
 
     def __init__(self, pset: PatternSet, n: int, budget: int | None):
+        self.pset = pset
         self.n = n
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.nodes = 0
@@ -253,7 +261,7 @@ class _Search:
         self.h = [0, n + 1] + [0] * self.k
         self.found = 0  # avoiders found so far, memo hits included
         self.hits = 0  # words skipped by a memo hit
-        self.memo: dict[tuple[int, ...], int] | None = None
+        self.memo: dict[tuple, int] | None = None
 
     def window_mask(self, word: Sequence[int]) -> int:
         """Bitset of the values whose appending to the word completes a
@@ -416,6 +424,12 @@ def _run_shards(pset: PatternSet, n: int, jobs: int, budget: int | None,
         # the memo spans the shards, so this count runs in this process
         # whatever jobs is
         return _Search(pset, n, budget).count_by_state()
+    if stat is None:
+        # likewise for the occurrence memo; its module is imported on first use
+        from .occurrence import count_by_occurrence, occurrence_steps
+
+        if occurrence_steps(pset) is not None:
+            return count_by_occurrence(_Search(pset, n, budget))
     shards = _shards(n)
     total: int | Counter[int] = 0 if stat is None else Counter()
     if jobs == 1 or len(shards) == 1:
@@ -445,7 +459,9 @@ def count_avoiders(pset: PatternSet, n: int, *, jobs: int = 1,
                    budget: int | None = None) -> int:
     """|Av_n| for a set of cyclic patterns: canonical cyclic permutations
     avoiding all. A set of totally vincular patterns is counted by memoized
-    window state, in this process whatever jobs is."""
+    window state, and a set with no totally vincular pattern and no seam
+    program by memoized partial occurrences, both in this process whatever
+    jobs is."""
     return _run_shards(pset, n, jobs, budget)
 
 

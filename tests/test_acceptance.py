@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. All comparisons are exact
 except the closed-form rounding check, which requires absolute deviation
-below 0.5. Table 1's tail rows (n = 11..13) always run; Table 2's (n = 11,
-12) are opt-in via CYCVIN_EXTENDED=1.
+below 0.5. The tail rows of both tables (Table 1 to n = 13, Table 2 to
+n = 12) run in every pass: both are counted by a memo, not leaf by leaf.
 """
 
 import pytest
@@ -168,8 +168,8 @@ def test_table1_tail_rows():
     print("TABLE 1 TAIL: PASS - rows n = 11..13 match the reference table")
 
 
-@pytest.mark.extended
 def test_extended_table_rows():
+    # single-bond classes are counted by the occurrence memo, not leaf by leaf
     expected2 = expected_counts(2)
     for label in TABLE2_CLASSES:
         pset = PatternSet.from_texts(label)

@@ -72,6 +72,28 @@ def test_budget_exit_code(capsys, argv):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--set", "[1~3,2,4]", "--n", "5", "--jobs", "1"),
+    ("enumerate", "--set", "[1~3,2,4]", "--n", "5"),
+    ("unavoidable", "--k", "3", "--horizon", "5"),
+], ids=["count", "enumerate", "unavoidable"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_bad_budget_exit_code(capsys, argv, budget):
+    # a budget below 1 is bad input, not an exhausted budget
+    code, out, err = run(capsys, *argv, "--budget-nodes", budget)
+    assert code == 2 and out == "" and "budget-nodes" in err
+
+
+@pytest.mark.parametrize("max_subsets", ["0", "-1"])
+def test_bad_max_subsets_exit_code(capsys, max_subsets):
+    # a scan of no subsets would report a classification backed by no search
+    code, out, err = run(capsys, "unavoidable", "--k", "3", "--horizon", "5",
+                         "--max-subsets", max_subsets)
+    assert code == 2 and out == "" and "max_subsets" in err
+    code, out, _ = run(capsys, "unavoidable", "--k", "3", "--horizon", "5", "--max-subsets", "1")
+    assert code == 0 and json.loads(out)["subsets_checked"] == 1
+
+
 def test_bad_jobs_exit_code(capsys):
     code, _, err = run(capsys, "count", "--set", "[1~3,2,4]", "--n", "6", "--jobs", "0")
     assert code == 2

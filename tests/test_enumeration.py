@@ -20,9 +20,10 @@ from cycvin.enumeration import (
     predecessor_of_n,
 )
 from cycvin.avoidability import find_avoider, patterns_with_min_at
-from cycvin.formulas import av_consec_123, av_consec_132, catalan, updown
+from cycvin.formulas import av_bond12_34, av_consec_123, av_consec_132, catalan, updown
 from cycvin.matcher import avoids_set
-from cycvin.patterns import Pattern, PatternSet, all_totally_vincular
+from cycvin.occurrence import count_by_occurrence, occurrence_steps
+from cycvin.patterns import Pattern, PatternSet, all_totally_vincular, trivial_wilf_orbit
 from cycvin.perms import CyclicPerm, all_cyclic_perms, reduce_window
 from cycvin.verify import verify_pruning, verify_wilf_orbits
 
@@ -108,12 +109,13 @@ def test_budget_exceeded():
 
 
 def test_budget_partial_table():
+    # the occurrence memo counts n = 8 in 291 nodes and n = 9 in 594
     s = PatternSet.from_texts("[1~3,2,4]")
     with pytest.raises(BudgetExceededError) as info:
-        count_range(s, 1, 9, budget=2000)
+        count_range(s, 1, 9, budget=300)
     err = info.value
     assert err.partial is not None
-    assert err.n_reached == err.partial.n_max >= 1
+    assert err.n_reached == err.partial.n_max == 8
     for n in range(1, err.n_reached + 1):
         assert err.partial.counts[n] == catalan(n - 1)
 
@@ -311,15 +313,21 @@ def _budget_outcome(s, n, budget, jobs, stat=None):
         return "budget", exc.nodes
 
 
+# in the orbit of [1~3,2,4] under reverse and complement, so counted by the
+# Catalan numbers; its 1 is bonded to its cyclic predecessor, so it has a seam
+# program and its counts run on the shard driver
+SEAM_CATALAN = PatternSet.from_texts("[2,3~1,4]")
+
+
 def test_budget_is_global_across_jobs():
     # at budget 100 the first shard alone is over the budget, so the error is
     # raised in a worker and must come back through the pool
-    s = PatternSet.from_texts("[1~3,2,4]")
+    s = SEAM_CATALAN
     for budget in (100, 5000):
         one = _budget_outcome(s, 8, budget, 1)
         assert one == ("budget", budget + 1)
         assert _budget_outcome(s, 8, budget, 2) == one
-    assert _budget_outcome(s, 8, 5124, 2) == _budget_outcome(s, 8, 5124, 1) == ("count", 429)
+    assert _budget_outcome(s, 8, 8792, 2) == _budget_outcome(s, 8, 8792, 1) == ("count", 429)
     # refined counts run on the same shard driver and budget rule
     s = PatternSet.from_texts("[1~4,2,3]")
     one = _budget_outcome(s, 8, 1000, 1, "predecessor_of_n")
@@ -361,7 +369,7 @@ def fake_pool(monkeypatch):
 
 
 def test_worker_count_is_capped_by_shards(fake_pool):
-    s = PatternSet.from_texts("[1~3,2,4]")
+    s = SEAM_CATALAN
     assert count_avoiders(s, 6, jobs=64) == 42
     assert fake_pool.workers == [5]
     # refined counts run on the same pool
@@ -377,7 +385,7 @@ def test_worker_count_is_capped_by_shards(fake_pool):
 def test_pool_overrun_starts_no_further_shard(fake_pool):
     # two workers hold at most three shards; once the running total is over
     # the budget, or a worker raises, no later shard is started
-    s = PatternSet.from_texts("[2~3,4,1]")
+    s = SEAM_CATALAN
     first, second = (_count_shard(s, 8, v2, None)[1] for v2 in (2, 3))
     for budget, ran in ((first + second - 1, [2, 3, 4, 5]), (first - 1, [2, 3, 4])):
         fake_pool.ran.clear()
@@ -439,6 +447,96 @@ def test_state_count_nodes_are_pinned():
     for jobs in (1, 2):
         assert _budget_outcome(s, 10, 4590, jobs) == ("count", 9460)
         assert _budget_outcome(s, 10, 4589, jobs) == ("budget", 4590)
+
+
+def _seam_free_sets(seed, count):
+    """Seeded random sets of one to three cyclic patterns of length 3..5, none
+    totally vincular and none with its 1 bonded to its cyclic predecessor:
+    the sets whose counts run on the occurrence memo."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        k = rng.randint(3, 5)
+        s = PatternSet(frozenset(_random_pattern(rng, k, False) for _ in range(rng.randint(1, 3))))
+        if occurrence_steps(s) is not None:
+            sets.append(s)
+    return sets
+
+
+def test_occurrence_count_matches_leaves_on_random_sets():
+    # the memo only ever skips or rejects what the leaf walk would walk, so
+    # it never visits more nodes
+    for s in _seam_free_sets(7, 16):
+        for n in range(1, 10):
+            search, leaves = _Search(s, n, None), _Search(s, n, None)
+            count = sum(1 for v2 in _shards(n) for _ in leaves.leaves(v2))
+            assert count_by_occurrence(search) == count, (s, n)
+            assert search.nodes <= leaves.nodes, (s, n)
+
+
+def test_occurrence_count_matches_leaves_on_every_length4_orbit():
+    # the 66 length-4 cyclic patterns that are not totally vincular fall into
+    # 23 orbits under reverse and complement, and each orbit has a member
+    # without a seam program
+    patterns = {Pattern(values, frozenset(bonds))
+                for values in itertools.permutations(range(1, 5))
+                for r in range(3) for bonds in itertools.combinations(range(1, 5), r)}
+    orbits = {trivial_wilf_orbit(PatternSet(frozenset({p}))) for p in patterns}
+    assert (len(patterns), len(orbits)) == (66, 23)
+    for orbit in orbits:
+        s = min((s for s in orbit if occurrence_steps(s) is not None), key=str)
+        for n in range(1, 10):
+            assert count_by_occurrence(_Search(s, n, None)) == _leaf_count(s, n), (s, n)
+
+
+def test_occurrence_count_matches_the_oracle_on_random_sets():
+    for s in _seam_free_sets(8, 30):
+        for n in range(1, 8):
+            assert count_by_occurrence(_Search(s, n, None)) == count_avoiders_naive(s, n), (s, n)
+
+
+@pytest.mark.parametrize("text, form", [
+    ("[1~3,2,4]", lambda n: catalan(n - 1)),
+    ("[1~4,2,3]", lambda n: catalan(n - 1)),
+    ("[1~4,3,2]", lambda n: catalan(n - 1)),
+    ("[1~2,3,4]", av_bond12_34),
+    ("[1~2,4,3]", av_bond12_34),
+])
+def test_occurrence_count_matches_closed_forms(text, form):
+    s = PatternSet.from_texts(text)
+    for n in range(2, 14):
+        assert count_avoiders(s, n) == form(n), n
+
+
+def test_occurrence_count_nodes_are_pinned():
+    # the leaf walk needs 5124 nodes for this class at n=8 (pinned above);
+    # the occurrence memo needs 1181 at n=10
+    s = PatternSet.from_texts("[1~3,2,4]")
+    search = _Search(s, 10, None)
+    assert count_by_occurrence(search) == 4862
+    assert search.nodes == 1181
+    assert len(search.memo) == 216
+    assert search.hits == 279
+    # count_avoiders takes this path in this process for every jobs, under
+    # the same budget rule
+    for jobs in (1, 2):
+        assert _budget_outcome(s, 10, 1181, jobs) == ("count", 4862)
+        assert _budget_outcome(s, 10, 1180, jobs) == ("budget", 1181)
+
+
+def test_occurrence_memo_is_chosen_from_the_set(fake_pool):
+    # a set with a totally vincular pattern or a seam program gets no
+    # occurrence steps; the others are counted without a pool
+    for texts in (("[1~2~3]",), ("[1~2~3~4]", "[1~3,2,4]"), ("[2,3~1,4]",), ("[2~1,3]",)):
+        assert occurrence_steps(PatternSet.from_texts(*texts)) is None, texts
+    assert count_avoiders(PatternSet.from_texts("[1~3,2,4]"), 8, jobs=2) == 429
+    assert fake_pool.workers == []
+    assert count_avoiders(SEAM_CATALAN, 8, jobs=2) == 429
+    assert fake_pool.workers == [2]
+    # refined counts keep the leaf walk and the pool
+    assert sum(count_refined(PatternSet.from_texts("[1~3,2,4]"), 8, "predecessor_of_n",
+                             jobs=2).values()) == 429
+    assert fake_pool.workers == [2, 2]
 
 
 @pytest.mark.parametrize("texts", [("[1~2~3]",), ("[1~2~3]", "[2~3~1]")])
