@@ -45,6 +45,24 @@ time algorithm for consecutive permutation pattern matching", IPL 2013),
 and the values a final entry may take form one interval. `matcher` shares
 none of this code and stays the oracle.
 
+The unused values are one bitset, `free`, and the children of a word are its
+members when the word is pushed. Every accepted word shorter than n gets one
+dead-end test before it is pushed; a dead end is counted as a node and not
+descended into. Each test finds a subtree without an avoider, so node totals
+fall and nothing else changes (counts, leaves, memo values, the budget rule).
+- The narrow masks are inherited. A value in the mask of the word or of an
+  ancestor completes an occurrence wherever it is appended later: the final
+  block of a narrow representative is one entry, bonded to nothing before
+  it. Every unused value is appended somewhere later, so a word whose mask
+  meets `free` is a dead end. The mask is ORed into a local copy; the word's
+  later siblings still read their parent's.
+- A seam lookahead for the totally vincular patterns. Once
+  sigma_1..sigma_{k-1} are placed, the windows (sigma_n, sigma_1, ...,
+  sigma_{k-1}) across the seam bar some values from the last position: the
+  ranks listed in `last_ranks` for the reduction of sigma_1..sigma_{k-1},
+  read through the window table. One unused value ends the word, so a word
+  whose unused values are all barred is a dead end.
+
 The search forest is split into n-1 shards by the value of sigma_2, and
 `_Search.leaves(v2)` streams the avoiders of one shard; `leaves(None)` walks
 every shard from one root. Counts and refined counts share one shard
@@ -197,6 +215,22 @@ def _windows(tail: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return reduce_window(tail), (*map(_between, bounds, bounds[1:]), -(2 << bounds[-1]))
 
 
+def _ranked(ranks: dict[tuple[int, ...], list[int]], tail: Sequence[int]) -> int:
+    """Bitset of the values whose rank among the tail and themselves is one
+    that `ranks` lists for the tail's reduction."""
+    reduction, intervals = _windows(tuple(tail))
+    mask = 0
+    for r in ranks.get(reduction, ()):
+        mask |= intervals[r - 1]
+    return mask
+
+
+@cache
+def _members(mask: int) -> tuple[int, ...]:
+    """The values in a bitset, in increasing order."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def _final_values(word: Sequence[int], prog: _Program, bi: int, start: int, stop: int,
                   h: list[int]) -> int:
     """Place steps bi.. of the program, all but its final one-entry step, left
@@ -237,8 +271,13 @@ class _Search:
         # the ranks of a new value that complete a forbidden window, keyed by
         # the reduction of the k-1 entries before it
         self.window_ranks: dict[tuple[int, ...], list[int]] = {}
+        # the ranks of the last entry sigma_n that complete a forbidden window
+        # (sigma_n, sigma_1, ..., sigma_{k-1}) across the seam, keyed by the
+        # reduction of sigma_1..sigma_{k-1}
+        self.last_ranks: dict[tuple[int, ...], list[int]] = {}
         for values in {p.values for p in pset.patterns if p.totally_vincular}:
             self.window_ranks.setdefault(reduce_window(values[:-1]), []).append(values[-1])
+            self.last_ranks.setdefault(reduce_window(values[1:]), []).append(values[0])
         general = [p for p in pset.patterns if not p.totally_vincular]
         # wrap-free representatives ending in a block of width 1 feed the
         # masks; the others are checked at each appended entry
@@ -269,83 +308,89 @@ class _Search:
         m, k = len(word), self.k
         if not self.window_ranks or m < k - 1:
             return 0
-        reduction, intervals = _windows(tuple(word[m - k + 1:]))
-        mask = 0
-        for r in self.window_ranks.get(reduction, ()):
-            mask |= intervals[r - 1]
-        return mask
+        return _ranked(self.window_ranks, word[m - k + 1:])
 
     def leaves(self, v2: int | None) -> Iterator[tuple[int, ...]]:
         """Yield the avoiders with sigma_2 = v2 in lexicographic order. With
         v2 None (always when n = 1) every shard is walked from one root,
         which counts as one node, not one per shard. The search keeps its
         stack of frames explicitly, so it can stop at any leaf; `found`
-        counts the avoiders found so far. With a memo (only `count_by_state`
-        and `first_avoider` set one) a word whose window state is memoized
-        adds the stored count to `found`, counts in `hits` and is not
-        descended into, so the walk then yields only the leaves it
-        reaches."""
+        counts the avoiders found so far. An accepted word that is a dead
+        end (see the module docstring) is counted as a node and not
+        descended into. With a memo (only `count_by_state` and
+        `first_avoider` set one) a word whose window state is memoized adds
+        the stored count to `found`, counts in `hits` and is not descended
+        into, so the walk then yields only the leaves it reaches."""
         n, k, budget, memo = self.n, self.k, self.budget, self.memo
-        narrow, wide, h = self.narrow, self.wide, self.h
+        narrow, wide, h, last_ranks = self.narrow, self.wide, self.h, self.last_ranks
         word: list[int] = []
-        used = [False] * (n + 1)
+        free = (2 << n) - 2  # the unused values, as a bitset
+        # from length k-1 on, sigma_1..sigma_{k-1} bar the values in `barred`
+        # from the last position; without totally vincular patterns, never
+        seamed = k - 1 if last_ranks else n
+        barred = 0
         # words are keyed from the first length at which an untracked entry
         # lies between sigma_2..sigma_{k-1} and the last k-1 entries (at
         # m = 2k-2 every key would be new); mid[m] is the bitset of those
         # untracked entries, sigma_k..sigma_{m-k+1}
         keyed = 2 * k - 1
         mid = [0] * (n + 1)
-        # one frame per word on the path: its children, the values that
-        # complete a narrow occurrence after it (inherited by its children),
-        # the values rejected among its children, its memo key (or None) and
-        # `found` when it was pushed
+        # one frame per word on the path: its children (the values unused
+        # when it was pushed), the values that complete a narrow occurrence
+        # after it (inherited by its children), the values rejected among its
+        # children, its memo key (or None) and `found` when it was pushed
         stack: list[tuple[Iterator[int], int, int, tuple[int, ...] | None, int]] = [
             (iter((1,)), 0, self.window_mask(word), None, self.found)]
         while stack:
             children, grown, bad, key, before = stack[-1]
             for v in children:
-                if used[v]:
-                    continue
                 self.nodes += 1
                 if self.nodes > budget:
                     raise BudgetExceededError("node budget exceeded", self.nodes, n)
                 if bad >> v & 1:
                     continue
                 word.append(v)
-                used[v] = True
+                free ^= 1 << v
                 if not (wide and any(_ends_at_last(word, prog, h) for prog in wide)):
                     m = len(word)
-                    if m < n:
-                        state = None
-                        if memo is not None and m >= keyed:
-                            mid[m] = between = mid[m - 1] | 1 << word[m - k]
-                            # sigma_2..sigma_{k-1} and the last k-1 entries,
-                            # ranked among themselves and the unused values
-                            state = (m, *[t - (between & ((1 << t) - 1)).bit_count()
-                                          for t in word[1:k - 1] + word[m - k + 1:]])
-                            hit = memo.get(state)
-                            if hit is not None:
-                                self.hits += 1
-                                self.found += hit
-                                used[word.pop()] = False
-                                continue
-                        # descend: `children` resumes, and `grown` is read again, once
-                        # the new frame is popped
+                    if m == n:
+                        if self.seam_clean(word):
+                            self.found += 1
+                            yield tuple(word)
+                    else:
+                        if m == seamed:
+                            barred = _ranked(last_ranks, word)
+                        # a local copy: the word's later siblings read `grown`
+                        mask = grown
                         for prog in narrow:
-                            grown |= _completed_at_next(word, prog, h)
-                        stack.append((iter((v2,) if m == 1 and v2 else range(2, n + 1)), grown,
-                                      grown | self.window_mask(word), state, self.found))
-                        break
-                    if self.seam_clean(word):
-                        self.found += 1
-                        yield tuple(word)
-                used[word.pop()] = False
+                            mask |= _completed_at_next(word, prog, h)
+                        # a dead end: an unused value completes an occurrence
+                        # wherever it goes, or every one is barred from the end
+                        if not mask & free and (m < seamed or free & ~barred):
+                            state = hit = None
+                            if memo is not None and m >= keyed:
+                                mid[m] = between = mid[m - 1] | 1 << word[m - k]
+                                # sigma_2..sigma_{k-1} and the last k-1 entries,
+                                # ranked among themselves and the unused values
+                                state = (m, *[t - (between & ((1 << t) - 1)).bit_count()
+                                              for t in word[1:k - 1] + word[m - k + 1:]])
+                                hit = memo.get(state)
+                            if hit is None:
+                                # descend: `children` resumes once the new
+                                # frame is popped
+                                stack.append((iter((v2,) if m == 1 and v2 else _members(free)),
+                                              mask, mask | self.window_mask(word), state,
+                                              self.found))
+                                break
+                            self.hits += 1
+                            self.found += hit
+                free |= 1 << word.pop()
             else:
                 stack.pop()
                 if key is not None:
                     memo[key] = self.found - before
                 if word:
-                    used[word.pop()] = False
+                    free |= 1 << word.pop()
 
     def seam_clean(self, word: Sequence[int]) -> bool:
         """No occurrence of a pattern crosses the seam of the complete word.

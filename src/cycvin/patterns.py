@@ -11,6 +11,7 @@ rotation always exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
 from typing import Iterator
 
@@ -149,12 +150,15 @@ def _format_body(vals: tuple[int, ...], bonds: frozenset[int]) -> str:
     return "".join(parts)
 
 
+@cache
 def parse_pattern(text: str) -> Pattern:
     """Parse a pattern from its textual form.
 
     Grammar: comma-separated positive integers, '~' in place of a comma
     bonds the two neighbouring values, '[...]' wraps a cyclic pattern.
     Whitespace is insignificant. Examples: "2~1,3", "[1~3,4,2]".
+    Each text is parsed once: a Pattern is immutable, so later calls return
+    the same object; malformed text raises on every call.
     """
     raw = text
     stripped = "".join(text.split())

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from concurrent.futures import Future
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from cycvin.enumeration import (
     count_range,
     count_refined,
     enumerate_avoiders,
+    first_avoider,
     predecessor_of_n,
 )
 from cycvin.avoidability import find_avoider, patterns_with_min_at
@@ -221,8 +223,8 @@ def test_seam_programs_are_compiled_for_a_bonded_1_only():
 
 
 @pytest.mark.parametrize("texts, n, nodes", [
-    (("[1~3,2,4]",), 8, 5124),
-    (("[2~3,4,1]",), 8, 5901),
+    (("[1~3,2,4]",), 8, 2009),
+    (("[2~3,4,1]",), 8, 3045),
     (("[1~2~3]", "[2~3~1]"), 9, 17664),
     (("[1~2~3]", "[3~2~1]"), 9, 10480),
 ])
@@ -239,10 +241,10 @@ def test_node_totals_are_pinned(texts, n, nodes):
 
 
 @pytest.mark.parametrize("pset, n, first, nodes", [
-    (PatternSet.from_texts("[1~2,3,4]"), 9, (1, 2, 9, 8, 7, 6, 5, 4, 3), 450),
-    (PatternSet.from_texts("[2~3,4,1]"), 9, (1, 2, 9, 3, 8, 7, 6, 5, 4), 797),
-    (patterns_with_min_at(2, 4), 8, None, 6986),
-    (PatternSet.from_texts("[1~2~3~4]", "[1~3,2,4]"), 8, (1, 2, 8, 4, 5, 3, 6, 7), 243),
+    (PatternSet.from_texts("[1~2,3,4]"), 9, (1, 2, 9, 8, 7, 6, 5, 4, 3), 30),
+    (PatternSet.from_texts("[2~3,4,1]"), 9, (1, 2, 9, 3, 8, 7, 6, 5, 4), 47),
+    (patterns_with_min_at(2, 4), 8, None, 56),
+    (PatternSet.from_texts("[1~2~3~4]", "[1~3,2,4]"), 8, (1, 2, 8, 4, 5, 3, 6, 7), 55),
 ])
 def test_first_leaf_nodes_are_pinned(pset, n, first, nodes):
     # the nodes walked up to the first avoider (or to the end of an empty
@@ -254,12 +256,66 @@ def test_first_leaf_nodes_are_pinned(pset, n, first, nodes):
 
 def test_find_avoider_budget_edge():
     # find_avoider walks every shard from one root with the memo, so it visits
-    # fewer nodes than the per-shard first-leaf walk pinned above (6986)
+    # fewer nodes than the per-shard first-leaf walk pinned above (56)
     s = patterns_with_min_at(2, 4)
     with pytest.raises(BudgetExceededError) as info:
-        find_avoider(s, 8, budget=5869)
-    assert info.value.nodes == 5870
-    assert find_avoider(s, 8, budget=5870) is None
+        find_avoider(s, 8, budget=49)
+    assert info.value.nodes == 50
+    assert find_avoider(s, 8, budget=50) is None
+
+
+@pytest.mark.parametrize("i, nodes", [(1, (260, 401, 586)), (2, (50, 65, 82))])
+def test_anchored_families_are_proved_empty(i, nodes):
+    # every cyclic window with its 1 at position i is forbidden, so the set is
+    # empty at every n >= 4. With i = 2 that window is (sigma_n, 1, sigma_2,
+    # sigma_3): once sigma_3 is placed, every unused value is barred from the
+    # last position, so the search ends at length 3 (1 + (n-1) + (n-1)(n-2)
+    # nodes). With i = 1 the prefix check rejects every word of length 4.
+    # (At i = 3, 4 the window crosses the seam two or three entries before
+    # the 1, which no dead-end test sees: tens of thousands of nodes at n=10.)
+    s = patterns_with_min_at(i, 4)
+    for n, total in zip(range(8, 11), nodes):
+        assert first_avoider(s, n, budget=total) is None
+        with pytest.raises(BudgetExceededError) as info:
+            first_avoider(s, n, budget=total - 1)
+        assert info.value.nodes == total
+
+
+def _sets_of_each_kind(seed, per_kind):
+    """Seeded random sets of one to three cyclic patterns of length 3..5,
+    per_kind of each kind: totally vincular, bonded (no totally vincular
+    pattern and no seam program), mixed, and bonded with a seam program."""
+    rng = random.Random(seed)
+    kinds = {"totally vincular": [], "bonded": [], "mixed": [], "seam": []}
+    while any(len(sets) < per_kind for sets in kinds.values()):
+        k = rng.randint(3, 5)
+        s = PatternSet(frozenset(_random_pattern(rng, k, rng.random() < 0.5)
+                                 for _ in range(rng.randint(1, 3))))
+        tv = {p.totally_vincular for p in s}
+        kind = ("totally vincular" if tv == {True} else "mixed" if len(tv) == 2
+                else "seam" if _Search(s, k, None).seam else "bonded")
+        if len(kinds[kind]) < per_kind:
+            kinds[kind].append(s)
+    return kinds
+
+
+def test_dead_end_prunes_keep_every_answer():
+    # the dead-end tests skip only subtrees without an avoider, so counts,
+    # refined counts, listings and first avoiders all equal a lexicographic
+    # scan of every cyclic permutation with the matcher (the filter of
+    # count_avoiders_naive); the first set of each kind also runs at n = 8
+    for kind, sets in _sets_of_each_kind(12, 3).items():
+        for j, s in enumerate(sets):
+            for n in range(1, 9 if j == 0 else 8):
+                scan = [c for c in all_cyclic_perms(n) if avoids_set(c, s)]
+                assert count_avoiders(s, n) == len(scan), (kind, s, n)
+                assert list(enumerate_avoiders(s, n)) == scan, (kind, s, n)
+                assert first_avoider(s, n) == (scan[0] if scan else None), (kind, s, n)
+                if n >= 3:
+                    for stat, of in (("predecessor_of_n", predecessor_of_n),
+                                     ("zeil_reverse", CyclicPerm.zeil_reverse)):
+                        expected = dict(sorted(Counter(map(of, scan)).items()))
+                        assert count_refined(s, n, stat) == expected, (kind, s, n, stat)
 
 
 @pytest.mark.parametrize("text", ["[1]", "[1~2]", "[2~1]", "[1,2]"])
@@ -327,7 +383,7 @@ def test_budget_is_global_across_jobs():
         one = _budget_outcome(s, 8, budget, 1)
         assert one == ("budget", budget + 1)
         assert _budget_outcome(s, 8, budget, 2) == one
-    assert _budget_outcome(s, 8, 8792, 2) == _budget_outcome(s, 8, 8792, 1) == ("count", 429)
+    assert _budget_outcome(s, 8, 6152, 2) == _budget_outcome(s, 8, 6152, 1) == ("count", 429)
     # refined counts run on the same shard driver and budget rule
     s = PatternSet.from_texts("[1~4,2,3]")
     one = _budget_outcome(s, 8, 1000, 1, "predecessor_of_n")
@@ -509,7 +565,7 @@ def test_occurrence_count_matches_closed_forms(text, form):
 
 
 def test_occurrence_count_nodes_are_pinned():
-    # the leaf walk needs 5124 nodes for this class at n=8 (pinned above);
+    # the leaf walk needs 2009 nodes for this class at n=8 (pinned above);
     # the occurrence memo needs 1181 at n=10
     s = PatternSet.from_texts("[1~3,2,4]")
     search = _Search(s, 10, None)
