@@ -148,6 +148,10 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the smallest --n at which each bijection suite checks anything
+BIJECTION_N_MIN = {"cyclic-order": 3, "max-pred": 4, "max-chain": 4}
+
+
 def _cmd_bijection_check(args: argparse.Namespace) -> int:
     from .verify import (
         verify_chain_bijection,
@@ -155,6 +159,10 @@ def _cmd_bijection_check(args: argparse.Namespace) -> int:
         verify_pred_bijection,
     )
 
+    if args.n < BIJECTION_N_MIN[args.map]:
+        print(f"error: --map {args.map} checks nothing below --n {BIJECTION_N_MIN[args.map]}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.map == "cyclic-order":
         failures = verify_cyclic_order_bijection(
             n_max=args.n, orders_n_max=min(args.n - 2, 7)
@@ -210,6 +218,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.n_max < 1:
+        print("error: --n-max must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     failures = run_suite(args.suite, args.n_max)
     if failures:
         print(f"FAIL ({len(failures)} counterexamples); first: {failures[0]}")
@@ -231,7 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1),
-                       help="worker processes for sharded search")
+                       help="worker processes; only refined counts (count --stat) of a "
+                            "totally vincular set use them, every other query runs in "
+                            "one process")
         add_budget(p)
 
     p = sub.add_parser("count", help="count avoiders of a pattern set")

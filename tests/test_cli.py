@@ -188,6 +188,23 @@ def test_bijection_check(capsys):
     assert code == 0 and out.startswith("PASS")
 
 
+@pytest.mark.parametrize("bijection, n", [("max-pred", "0"), ("max-pred", "3"),
+                                          ("max-chain", "3"), ("cyclic-order", "1"),
+                                          ("cyclic-order", "2")])
+def test_bijection_check_below_its_smallest_size(capsys, bijection, n):
+    # the suite's loops start at n = 4 (m = 3 for cyclic-order), so nothing
+    # would be checked: no PASS
+    code, out, err = run(capsys, "bijection-check", "--map", bijection, "--n", n)
+    assert code == 2
+    assert out == "" and "--n" in err
+
+
+@pytest.mark.parametrize("bijection, n", [("max-pred", "4"), ("cyclic-order", "3")])
+def test_bijection_check_at_its_smallest_size(capsys, bijection, n):
+    code, out, _ = run(capsys, "bijection-check", "--map", bijection, "--n", n)
+    assert code == 0 and out.startswith("PASS")
+
+
 def test_unavoidable_classification(capsys):
     code, out, _ = run(capsys, "unavoidable", "--k", "3", "--horizon", "8")
     assert code == 0
@@ -244,3 +261,10 @@ def test_witness_blowup(capsys):
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "pruning", "--n-max", "6")
     assert code == 0 and out.startswith("PASS")
+
+
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_verify_n_max_below_one(capsys, n_max):
+    code, out, err = run(capsys, "verify", "pruning", "--n-max", n_max)
+    assert code == 2
+    assert out == "" and "--n-max" in err

@@ -10,6 +10,7 @@ import pytest
 
 from cycvin.enumeration import (
     BudgetExceededError,
+    _by_state,
     _count_shard,
     _Search,
     _shards,
@@ -23,9 +24,15 @@ from cycvin.enumeration import (
 )
 from cycvin.avoidability import find_avoider, patterns_with_min_at
 from cycvin.formulas import av_bond12_34, av_consec_123, av_consec_132, catalan, updown
-from cycvin.matcher import avoids_set
-from cycvin.occurrence import count_by_occurrence, occurrence_steps
-from cycvin.patterns import Pattern, PatternSet, all_totally_vincular, trivial_wilf_orbit
+from cycvin.matcher import _contains_cyclic_rep, avoids_set
+from cycvin.occurrence import _anchored, count_by_occurrence, occurrence_leaves, occurrence_steps
+from cycvin.patterns import (
+    Pattern,
+    PatternSet,
+    all_totally_vincular,
+    parse_pattern,
+    trivial_wilf_orbit,
+)
 from cycvin.perms import CyclicPerm, all_cyclic_perms, reduce_window
 from cycvin.verify import verify_pruning, verify_wilf_orbits
 
@@ -175,82 +182,109 @@ def test_requires_cyclic_patterns():
         count_avoiders(PatternSet.from_texts("[1~2,3]"), 0)
 
 
+def _accepted(steps, n):
+    """The words of length n that the occurrence kernel accepts: no prefix
+    completes an occurrence or reaches a dead state. Every prefix is
+    replayed once, with no memo and no dead keys."""
+    accepted = set()
+
+    def extend(word, unused, state):
+        s = len(unused)
+        bad = steps.rejected(state, s)
+        for r, v in enumerate(unused):
+            if bad >> r & 1:
+                continue
+            if s == 1:
+                accepted.add((*word, v))
+                continue
+            child = steps.child(state, s, r)
+            if child is not None:
+                extend((*word, v), unused[:r] + unused[r + 1:], child)
+
+    root = steps.root(n)
+    if root is not None:
+        if n == 1:
+            accepted.add((1,))
+        else:
+            extend((1,), list(range(2, n + 1)), root)
+    return accepted
+
+
+SEAM_PATTERNS = (
+    "[1~2,3]", "[1~3,2]", "[1~2~3]", "[1~3~2]", "[1,2,3]",
+    "[1~2,3,4]", "[1~3,4,2]", "[2~3,1,4]", "[1~2~3,4]", "[1~2,3~4]", "[1~2~3~4]",
+    "[2~3~1]", "[3~1~2]", "[2~1,3]", "[2,3~1]", "[2~1~3,5,4]", "[4,2~1,5,3]",
+)
+
+
 def test_seam_search_agrees_with_rotation_matcher():
-    # cyclic containment decomposes into a linear occurrence of some wrap-free
-    # representative inside the word, which the prefix check rejects, plus
-    # the rest, which crosses the seam; the engine's seam check (window
-    # lookups for totally vincular patterns, one anchored placement of the
-    # patterns whose 1 is bonded to its cyclic predecessor) must account for
-    # exactly the second kind on every host, not just pruned leaves, when
-    # compared against the rotation-scanning matcher. Patterns whose
-    # canonical form does not start with 1 are the ones that can match
-    # across the seam in a single block; [2~1~3,5,4] and [4,2~1,5,3] bond
-    # 1 to its predecessor with blocks between the two ends.
-    from cycvin.enumeration import _Search
-    from cycvin.matcher import _contains_cyclic_rep, _occurrences_word
-    from cycvin.perms import all_cyclic_perms
-    from cycvin.patterns import parse_pattern
-
-    pats = [parse_pattern(t) for t in (
-        "[1~2,3]", "[1~3,2]", "[1~2~3]", "[1~3~2]", "[1,2,3]",
-        "[1~2,3,4]", "[1~3,4,2]", "[2~3,1,4]", "[1~2~3,4]", "[1~2,3~4]", "[1~2~3~4]",
-        "[2~3~1]", "[3~1~2]", "[2~1,3]", "[2,3~1]", "[2~1~3,5,4]", "[4,2~1,5,3]",
-    )]
-    for n in range(1, 9):
-        searches = [(p, p.wrap_free_reps(), _Search(PatternSet(frozenset({p})), n, None))
-                    for p in pats]
-        for c in all_cyclic_perms(n):
-            word = c.canonical.values
-            for p, reps, search in searches:
-                by_rotations = _contains_cyclic_rep(c, p.values, p.bonds)
-                interior = any(next(_occurrences_word(word, values, bonds), None) is not None
-                               for values, bonds in reps)
-                assert by_rotations == (interior or not search.seam_clean(word)), (
-                    str(c), str(p))
+    # the occurrence kernel's verdict on every word (not just the leaves the
+    # walk reaches) equals the rotation-scanning matcher's. Read from
+    # position 0, an occurrence is a linear occurrence of a wrap-free
+    # representative, or it bonds the pattern's 1 at position 0 to its
+    # cyclic predecessor at position n-1, which the anchored representative
+    # places. Patterns whose canonical form does not start with 1 are the
+    # ones that can match across the seam in a single block; [2~1~3,5,4] and
+    # [4,2~1,5,3] bond 1 to its predecessor with blocks between the two
+    # ends. The totally vincular ones check the seam windows that a mixed
+    # set puts on this walk.
+    for text in SEAM_PATTERNS:
+        p = parse_pattern(text)
+        steps = occurrence_steps(PatternSet(frozenset({p})))
+        for n in range(1, 9):
+            accepted = _accepted(steps, n)
+            for c in all_cyclic_perms(n):
+                assert (c.canonical.values in accepted) != _contains_cyclic_rep(
+                    c, p.values, p.bonds), (str(c), text)
 
 
-def test_seam_programs_are_compiled_for_a_bonded_1_only():
+def test_anchored_reps_are_built_for_a_bonded_1_only():
     # only a pattern whose 1 is bonded to its cyclic predecessor can cross
-    # the seam unseen by the prefix check; totally vincular patterns use
-    # window lookups instead
-    from cycvin.enumeration import _Search
-
+    # the seam unseen by its wrap-free representatives; it gets one anchored
+    # representative, the rotation that starts at its 1
     for text in ("[1~2,3,4]", "[1~2,4,3]", "[1~3,2,4]", "[1~3,4,2]", "[1~4,2,3]",
-                 "[1~4,3,2]", "[2~3,1,4]", "[2~3,4,1]", "[2~1]"):
-        assert _Search(PatternSet.from_texts(text), 8, None).seam == [], text
-    for text in ("[2~1,3]", "[2,3~1]", "[2~1~3,5,4]"):
-        assert len(_Search(PatternSet.from_texts(text), 8, None).seam) == 1, text
+                 "[1~4,3,2]", "[2~3,1,4]", "[2~3,4,1]", "[1~2~3]", "[1,2,3]"):
+        assert _anchored(parse_pattern(text)) is None, text
+    for text, rep in (("[2~1]", ((1, 2), frozenset())),
+                      ("[2~1,3]", ((1, 3, 2), frozenset())),
+                      ("[2,3~1]", ((1, 2, 3), frozenset())),
+                      ("[2~1~3,5,4]", ((1, 3, 5, 4, 2), frozenset({1}))),
+                      ("[2~1~3]", ((1, 3, 2), frozenset({1}))),
+                      ("[2~3~1]", ((1, 2, 3), frozenset({2})))):
+        assert _anchored(parse_pattern(text)) == rep, text
 
 
 @pytest.mark.parametrize("texts, n, nodes", [
-    (("[1~3,2,4]",), 8, 2009),
-    (("[2~3,4,1]",), 8, 3045),
+    (("[1~3,2,4]",), 8, 2003),
+    (("[2~3,4,1]",), 8, 2848),
     (("[1~2~3]", "[2~3~1]"), 9, 17664),
     (("[1~2~3]", "[3~2~1]"), 9, 10480),
 ])
 def test_node_totals_are_pinned(texts, n, nodes):
-    # a change of pruning strength shows here; one search object walking all
-    # shards counts the same nodes as a fresh search per shard
-    from cycvin.enumeration import _count_shard, _Search, _shards
-
+    # the nodes of a listing: a change of pruning strength shows here. The
+    # first two run on the occurrence walk, the last two on the window walk,
+    # where one search object walking all shards counts the same nodes as a
+    # fresh search per shard (a pool worker's)
     s = PatternSet.from_texts(*texts)
-    assert sum(_count_shard(s, n, v2, None)[1] for v2 in _shards(n)) == nodes
     search = _Search(s, n, None)
-    assert sum(1 for v2 in _shards(n) for _ in search.leaves(v2)) == count_avoiders(s, n)
+    assert sum(1 for _ in search.words()) == count_avoiders(s, n)
     assert search.nodes == nodes
+    if _by_state(s):
+        assert sum(_count_shard(s, n, v2, None, "zeil_reverse")[1] for v2 in _shards(n)) == nodes
 
 
 @pytest.mark.parametrize("pset, n, first, nodes", [
     (PatternSet.from_texts("[1~2,3,4]"), 9, (1, 2, 9, 8, 7, 6, 5, 4, 3), 30),
-    (PatternSet.from_texts("[2~3,4,1]"), 9, (1, 2, 9, 3, 8, 7, 6, 5, 4), 47),
+    (PatternSet.from_texts("[2~3,4,1]"), 9, (1, 2, 9, 3, 8, 7, 6, 5, 4), 39),
     (patterns_with_min_at(2, 4), 8, None, 56),
     (PatternSet.from_texts("[1~2~3~4]", "[1~3,2,4]"), 8, (1, 2, 8, 4, 5, 3, 6, 7), 55),
 ])
 def test_first_leaf_nodes_are_pinned(pset, n, first, nodes):
     # the nodes walked up to the first avoider (or to the end of an empty
-    # class): a rejected child still counts as a node
+    # class) by a listing: a rejected child still counts as a node. The
+    # totally vincular set walks its shards one by one without a memo
     search = _Search(pset, n, None)
-    assert next((w for v2 in _shards(n) for w in search.leaves(v2)), None) == first
+    assert next(search.words(), None) == first
     assert search.nodes == nodes
 
 
@@ -281,41 +315,57 @@ def test_anchored_families_are_proved_empty(i, nodes):
         assert info.value.nodes == total
 
 
-def _sets_of_each_kind(seed, per_kind):
-    """Seeded random sets of one to three cyclic patterns of length 3..5,
-    per_kind of each kind: totally vincular, bonded (no totally vincular
-    pattern and no seam program), mixed, and bonded with a seam program."""
+def _sets_of_each_kind(seed, per_kind, k_min=3):
+    """Seeded random sets of one to three cyclic patterns of length
+    k_min..5, per_kind of each kind: totally vincular, bonded (no totally
+    vincular pattern and none that bonds its 1 to its cyclic predecessor),
+    mixed, and bonded with an anchored representative (a seam set)."""
     rng = random.Random(seed)
     kinds = {"totally vincular": [], "bonded": [], "mixed": [], "seam": []}
     while any(len(sets) < per_kind for sets in kinds.values()):
-        k = rng.randint(3, 5)
+        k = rng.randint(k_min, 5)
         s = PatternSet(frozenset(_random_pattern(rng, k, rng.random() < 0.5)
                                  for _ in range(rng.randint(1, 3))))
         tv = {p.totally_vincular for p in s}
         kind = ("totally vincular" if tv == {True} else "mixed" if len(tv) == 2
-                else "seam" if _Search(s, k, None).seam else "bonded")
-        if len(kinds[kind]) < per_kind:
+                else "seam" if any(map(_anchored, s)) else "bonded")
+        if len(kinds[kind]) < per_kind and s not in kinds[kind]:
             kinds[kind].append(s)
     return kinds
 
 
+def _assert_answers_match_a_scan(kind, s, n):
+    """Counts, refined counts, the listing and the first avoider all equal a
+    lexicographic scan of every cyclic permutation with the matcher (the
+    filter of count_avoiders_naive)."""
+    scan = [c for c in all_cyclic_perms(n) if avoids_set(c, s)]
+    assert count_avoiders(s, n) == len(scan), (kind, s, n)
+    assert list(enumerate_avoiders(s, n)) == scan, (kind, s, n)
+    assert first_avoider(s, n) == (scan[0] if scan else None), (kind, s, n)
+    if n >= 3:
+        for stat, of in (("predecessor_of_n", predecessor_of_n),
+                         ("zeil_reverse", CyclicPerm.zeil_reverse)):
+            expected = dict(sorted(Counter(map(of, scan)).items()))
+            assert count_refined(s, n, stat) == expected, (kind, s, n, stat)
+
+
 def test_dead_end_prunes_keep_every_answer():
-    # the dead-end tests skip only subtrees without an avoider, so counts,
-    # refined counts, listings and first avoiders all equal a lexicographic
-    # scan of every cyclic permutation with the matcher (the filter of
-    # count_avoiders_naive); the first set of each kind also runs at n = 8
+    # the dead-end tests of both walks (the window walk's seam lookahead, the
+    # occurrence walk's dead states and dead keys) skip only subtrees without
+    # an avoider; the first set of each kind also runs at n = 8
     for kind, sets in _sets_of_each_kind(12, 3).items():
         for j, s in enumerate(sets):
             for n in range(1, 9 if j == 0 else 8):
-                scan = [c for c in all_cyclic_perms(n) if avoids_set(c, s)]
-                assert count_avoiders(s, n) == len(scan), (kind, s, n)
-                assert list(enumerate_avoiders(s, n)) == scan, (kind, s, n)
-                assert first_avoider(s, n) == (scan[0] if scan else None), (kind, s, n)
-                if n >= 3:
-                    for stat, of in (("predecessor_of_n", predecessor_of_n),
-                                     ("zeil_reverse", CyclicPerm.zeil_reverse)):
-                        expected = dict(sorted(Counter(map(of, scan)).items()))
-                        assert count_refined(s, n, stat) == expected, (kind, s, n, stat)
+                _assert_answers_match_a_scan(kind, s, n)
+
+
+def test_every_query_matches_a_scan_on_sets_of_every_kind():
+    # fresh seeded sets of each kind with k = 2..5, against the matcher; the
+    # first two sets of each kind also run at n = 8
+    for kind, sets in _sets_of_each_kind(20, 4, k_min=2).items():
+        for j, s in enumerate(sets):
+            for n in range(1, 9 if j < 2 else 8):
+                _assert_answers_match_a_scan(kind, s, n)
 
 
 @pytest.mark.parametrize("text", ["[1]", "[1~2]", "[2~1]", "[1,2]"])
@@ -336,8 +386,9 @@ def _random_pattern(rng, k, totally_vincular):
 
 
 def test_masks_agree_with_the_matcher_on_random_sets():
-    # window masks and narrow-program masks are ORed when a set mixes a
-    # totally vincular pattern with a bonded one, or holds several bonded ones
+    # a set that mixes a totally vincular pattern with a bonded one, or holds
+    # several bonded ones, runs on the occurrence walk; a totally vincular
+    # set runs on the window masks
     rng = random.Random(6)
     mixed = 0
     for i in range(24):
@@ -370,25 +421,32 @@ def _budget_outcome(s, n, budget, jobs, stat=None):
 
 
 # in the orbit of [1~3,2,4] under reverse and complement, so counted by the
-# Catalan numbers; its 1 is bonded to its cyclic predecessor, so it has a seam
-# program and its counts run on the shard driver
+# Catalan numbers; its 1 is bonded to its cyclic predecessor, so it has an
+# anchored representative
 SEAM_CATALAN = PatternSet.from_texts("[2,3~1,4]")
+# Table 1's first row: totally vincular, so its refined counts are the only
+# question that runs the shards in a pool
+POOLED = PatternSet.from_texts("[1~2~3]", "[2~3~1]")
 
 
 def test_budget_is_global_across_jobs():
     # at budget 100 the first shard alone is over the budget, so the error is
     # raised in a worker and must come back through the pool
-    s = SEAM_CATALAN
+    s, stat = POOLED, "predecessor_of_n"
     for budget in (100, 5000):
-        one = _budget_outcome(s, 8, budget, 1)
+        one = _budget_outcome(s, 9, budget, 1, stat)
         assert one == ("budget", budget + 1)
-        assert _budget_outcome(s, 8, budget, 2) == one
-    assert _budget_outcome(s, 8, 6152, 2) == _budget_outcome(s, 8, 6152, 1) == ("count", 429)
-    # refined counts run on the same shard driver and budget rule
-    s = PatternSet.from_texts("[1~4,2,3]")
-    one = _budget_outcome(s, 8, 1000, 1, "predecessor_of_n")
-    assert one == ("budget", 1001)
-    assert _budget_outcome(s, 8, 1000, 2, "predecessor_of_n") == one
+        assert _budget_outcome(s, 9, budget, 2, stat) == one
+    whole = _budget_outcome(s, 9, 17664, 1, stat)
+    assert whole[0] == "count" and sum(whole[1].values()) == 1524
+    assert _budget_outcome(s, 9, 17664, 2, stat) == whole
+    assert _budget_outcome(s, 9, 17663, 2, stat) == ("budget", 17664)
+    # every other question runs in this process, under the same rule
+    for jobs in (1, 2):
+        assert _budget_outcome(SEAM_CATALAN, 8, 674, jobs) == ("count", 429)
+        assert _budget_outcome(SEAM_CATALAN, 8, 673, jobs) == ("budget", 674)
+        assert _budget_outcome(PatternSet.from_texts("[1~4,2,3]"), 8, 1000, jobs,
+                               "predecessor_of_n") == ("budget", 1001)
 
 
 @pytest.fixture
@@ -425,28 +483,29 @@ def fake_pool(monkeypatch):
 
 
 def test_worker_count_is_capped_by_shards(fake_pool):
-    s = SEAM_CATALAN
-    assert count_avoiders(s, 6, jobs=64) == 42
+    s = POOLED
+    assert sum(count_refined(s, 6, "predecessor_of_n", jobs=64).values()) == 14
     assert fake_pool.workers == [5]
-    # refined counts run on the same pool
-    assert sum(count_refined(s, 6, "predecessor_of_n", jobs=64).values()) == 42
+    assert sum(count_refined(s, 6, "zeil_reverse", jobs=64).values()) == 14
     assert fake_pool.workers == [5, 5]
     with pytest.raises(BudgetExceededError) as info:
-        count_avoiders(s, 8, jobs=64, budget=1000)
+        count_refined(s, 8, "predecessor_of_n", jobs=64, budget=1000)
     assert info.value.nodes == 1001
     with pytest.raises(ValueError, match="jobs"):
-        count_avoiders(s, 6, jobs=0)
+        count_refined(s, 6, "predecessor_of_n", jobs=0)
+    with pytest.raises(ValueError, match="jobs"):
+        count_avoiders(SEAM_CATALAN, 6, jobs=0)
 
 
 def test_pool_overrun_starts_no_further_shard(fake_pool):
     # two workers hold at most three shards; once the running total is over
     # the budget, or a worker raises, no later shard is started
-    s = SEAM_CATALAN
-    first, second = (_count_shard(s, 8, v2, None)[1] for v2 in (2, 3))
+    s, stat = POOLED, "predecessor_of_n"
+    first, second = (_count_shard(s, 8, v2, None, stat)[1] for v2 in (2, 3))
     for budget, ran in ((first + second - 1, [2, 3, 4, 5]), (first - 1, [2, 3, 4])):
         fake_pool.ran.clear()
         with pytest.raises(BudgetExceededError) as info:
-            count_avoiders(s, 8, jobs=2, budget=budget)
+            count_refined(s, 8, stat, jobs=2, budget=budget)
         assert info.value.nodes == budget + 1
         assert fake_pool.ran == ran
 
@@ -456,8 +515,9 @@ TV4 = list(all_totally_vincular(4))
 
 
 def _leaf_count(s, n):
-    search = _Search(s, n, None)
-    return sum(1 for v2 in _shards(n) for _ in search.leaves(v2))
+    """The length of the listing: the window walk's leaves, shard by shard
+    and without a memo, or the occurrence walk's."""
+    return sum(1 for _ in _Search(s, n, None).words())
 
 
 def test_state_count_matches_leaves_on_every_k3_set():
@@ -505,48 +565,50 @@ def test_state_count_nodes_are_pinned():
         assert _budget_outcome(s, 10, 4589, jobs) == ("budget", 4590)
 
 
-def _seam_free_sets(seed, count):
-    """Seeded random sets of one to three cyclic patterns of length 3..5, none
-    totally vincular and none with its 1 bonded to its cyclic predecessor:
-    the sets whose counts run on the occurrence memo."""
+def _occurrence_sets(seed, count):
+    """Seeded random sets of one to three cyclic patterns of length 3..5,
+    not all totally vincular: the sets that run on the occurrence walk."""
     rng = random.Random(seed)
     sets = []
     while len(sets) < count:
         k = rng.randint(3, 5)
-        s = PatternSet(frozenset(_random_pattern(rng, k, False) for _ in range(rng.randint(1, 3))))
-        if occurrence_steps(s) is not None:
+        s = PatternSet(frozenset(_random_pattern(rng, k, rng.random() < 0.2)
+                                 for _ in range(rng.randint(1, 3))))
+        if not _by_state(s):
             sets.append(s)
     return sets
 
 
 def test_occurrence_count_matches_leaves_on_random_sets():
-    # the memo only ever skips or rejects what the leaf walk would walk, so
-    # it never visits more nodes
-    for s in _seam_free_sets(7, 16):
+    # the count expands each key once and the listing skips only dead keys,
+    # so the count never visits more nodes than the listing
+    for s in _occurrence_sets(7, 16):
         for n in range(1, 10):
             search, leaves = _Search(s, n, None), _Search(s, n, None)
-            count = sum(1 for v2 in _shards(n) for _ in leaves.leaves(v2))
+            count = sum(1 for _ in occurrence_leaves(leaves))
             assert count_by_occurrence(search) == count, (s, n)
             assert search.nodes <= leaves.nodes, (s, n)
 
 
 def test_occurrence_count_matches_leaves_on_every_length4_orbit():
     # the 66 length-4 cyclic patterns that are not totally vincular fall into
-    # 23 orbits under reverse and complement, and each orbit has a member
-    # without a seam program
+    # 23 orbits under reverse and complement, which preserve counts; every
+    # member of an orbit, with or without an anchored representative, has
+    # the count of the orbit's listing
     patterns = {Pattern(values, frozenset(bonds))
                 for values in itertools.permutations(range(1, 5))
                 for r in range(3) for bonds in itertools.combinations(range(1, 5), r)}
     orbits = {trivial_wilf_orbit(PatternSet(frozenset({p}))) for p in patterns}
     assert (len(patterns), len(orbits)) == (66, 23)
     for orbit in orbits:
-        s = min((s for s in orbit if occurrence_steps(s) is not None), key=str)
         for n in range(1, 10):
-            assert count_by_occurrence(_Search(s, n, None)) == _leaf_count(s, n), (s, n)
+            listed = _leaf_count(min(orbit, key=str), n)
+            for s in orbit:
+                assert count_by_occurrence(_Search(s, n, None)) == listed, (s, n)
 
 
 def test_occurrence_count_matches_the_oracle_on_random_sets():
-    for s in _seam_free_sets(8, 30):
+    for s in _occurrence_sets(8, 30):
         for n in range(1, 8):
             assert count_by_occurrence(_Search(s, n, None)) == count_avoiders_naive(s, n), (s, n)
 
@@ -565,8 +627,8 @@ def test_occurrence_count_matches_closed_forms(text, form):
 
 
 def test_occurrence_count_nodes_are_pinned():
-    # the leaf walk needs 2009 nodes for this class at n=8 (pinned above);
-    # the occurrence memo needs 1181 at n=10
+    # its listing needs 2003 nodes at n=8 (pinned above); the count needs
+    # 1181 at n=10
     s = PatternSet.from_texts("[1~3,2,4]")
     search = _Search(s, 10, None)
     assert count_by_occurrence(search) == 4862
@@ -581,18 +643,28 @@ def test_occurrence_count_nodes_are_pinned():
 
 
 def test_occurrence_memo_is_chosen_from_the_set(fake_pool):
-    # a set with a totally vincular pattern or a seam program gets no
-    # occurrence steps; the others are counted without a pool
-    for texts in (("[1~2~3]",), ("[1~2~3~4]", "[1~3,2,4]"), ("[2,3~1,4]",), ("[2~1,3]",)):
-        assert occurrence_steps(PatternSet.from_texts(*texts)) is None, texts
-    assert count_avoiders(PatternSet.from_texts("[1~3,2,4]"), 8, jobs=2) == 429
+    # a set that is not totally vincular (bonded, with an anchored
+    # representative, mixed or empty) runs on the occurrence walk for every
+    # question, without a pool; a totally vincular set keeps the window walk
+    n = 8
+    for s in (PatternSet.from_texts("[1~3,2,4]"), SEAM_CATALAN,
+              PatternSet.from_texts("[1~2~3~4]", "[1~3,2,4]"), PatternSet(frozenset())):
+        search = _Search(s, n, None)
+        count = count_by_occurrence(search)
+        assert count_avoiders(s, n, jobs=2) == count, s
+        # the same walk: it finishes exactly within the memo's node total
+        assert count_avoiders(s, n, budget=search.nodes) == count
+        with pytest.raises(BudgetExceededError):
+            count_avoiders(s, n, budget=search.nodes - 1)
+        refined = count_refined(s, n, "predecessor_of_n", jobs=2)
+        assert sum(refined.values()) == count
+    assert count_avoiders(SEAM_CATALAN, n, jobs=2) == 429
     assert fake_pool.workers == []
-    assert count_avoiders(SEAM_CATALAN, 8, jobs=2) == 429
+    # refined counts of a totally vincular set keep the window walk and the pool
+    assert sum(count_refined(POOLED, n, "predecessor_of_n", jobs=2).values()) == 278
     assert fake_pool.workers == [2]
-    # refined counts keep the leaf walk and the pool
-    assert sum(count_refined(PatternSet.from_texts("[1~3,2,4]"), 8, "predecessor_of_n",
-                             jobs=2).values()) == 429
-    assert fake_pool.workers == [2, 2]
+    assert count_avoiders(POOLED, n, jobs=2) == 278
+    assert fake_pool.workers == [2]
 
 
 @pytest.mark.parametrize("texts", [("[1~2~3]",), ("[1~2~3]", "[2~3~1]")])
@@ -620,7 +692,7 @@ def test_window_masks_match_reduce_window():
                     assert search.window_mask(tail) & ((2 << n) - 1) == expected, (s, tail)
 
 
-@pytest.mark.parametrize("texts", [("[1~2~3]", "[2~3~1]"), ("[2~3,4,1]",)])
+@pytest.mark.parametrize("texts", [("[1~2~3]", "[2~3~1]"), ("[1~3~2]",)])
 def test_one_root_walks_every_shard(texts):
     # leaves(None) without a memo yields the shards' leaves in shard order and
     # counts the root once instead of once per shard
