@@ -11,7 +11,6 @@ exhausted.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import formulas
@@ -33,7 +32,7 @@ from .matcher import avoids_set
 from .patterns import PatternSet, PatternSyntaxError, parse_pattern
 from .perms import LinearPerm
 from .tables import TABLE_DEFAULT_N_MAX, TABLE_EXTENDED_N_MAX, check_table
-from .verify import SUITES, run_suite
+from .verify import BIJECTIONS, SUITES, Suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -148,34 +147,25 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# the smallest --n at which each bijection suite checks anything
-BIJECTION_N_MIN = {"cyclic-order": 3, "max-pred": 4, "max-chain": 4}
+def _check(suites: dict[str, Suite], names: list[str], n_max: int, what: str, flag: str) -> int:
+    """Run the named suites at n_max and report the sizes each checked; exit
+    2 below a suite's smallest size, where some of its checks run no size."""
+    for name in names:
+        if n_max < suites[name].low:
+            print(f"error: {what} {name!r} needs {flag} >= {suites[name].low}: below it some "
+                  f"of its checks run no size", file=sys.stderr)
+            return EXIT_USAGE
+    failures = [failure for name in names for failure in suites[name].check(n_max)]
+    if failures:
+        print(f"FAIL ({len(failures)} counterexamples); first: {failures[0]}")
+        return EXIT_FAIL
+    for name in names:
+        print(f"PASS: {what} {name!r} checked {suites[name].checked(n_max)}")
+    return EXIT_OK
 
 
 def _cmd_bijection_check(args: argparse.Namespace) -> int:
-    from .verify import (
-        verify_chain_bijection,
-        verify_cyclic_order_bijection,
-        verify_pred_bijection,
-    )
-
-    if args.n < BIJECTION_N_MIN[args.map]:
-        print(f"error: --map {args.map} checks nothing below --n {BIJECTION_N_MIN[args.map]}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.map == "cyclic-order":
-        failures = verify_cyclic_order_bijection(
-            n_max=args.n, orders_n_max=min(args.n - 2, 7)
-        )
-    elif args.map == "max-pred":
-        failures = verify_pred_bijection(n_max=args.n)
-    else:
-        failures = verify_chain_bijection(n_max=args.n)
-    if failures:
-        print(f"FAIL: {failures[0]}")
-        return EXIT_FAIL
-    print(f"PASS: {args.map} checks up to n={args.n}")
-    return EXIT_OK
+    return _check(BIJECTIONS, [args.map], args.n, "map", "--n")
 
 
 def _cmd_unavoidable(args: argparse.Namespace) -> int:
@@ -218,15 +208,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.n_max < 1:
-        print("error: --n-max must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    failures = run_suite(args.suite, args.n_max)
-    if failures:
-        print(f"FAIL ({len(failures)} counterexamples); first: {failures[0]}")
-        return EXIT_FAIL
-    print(f"PASS: suite {args.suite!r} at n_max={args.n_max}")
-    return EXIT_OK
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    return _check(SUITES, names, args.n_max, "suite", "--n-max")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -241,10 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="search node ceiling")
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1),
-                       help="worker processes; only refined counts (count --stat) of a "
-                            "totally vincular set use them, every other query runs in "
-                            "one process")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility and changes nothing: every query "
+                            "runs in one process (must be >= 1)")
         add_budget(p)
 
     p = sub.add_parser("count", help="count avoiders of a pattern set")
@@ -281,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_formula)
 
     p = sub.add_parser("bijection-check", help="run one bijection's round-trip suite")
-    p.add_argument("--map", choices=("cyclic-order", "max-pred", "max-chain"), required=True)
+    p.add_argument("--map", choices=tuple(BIJECTIONS), required=True)
     p.add_argument("--n", type=int, default=9)
     p.set_defaults(func=_cmd_bijection_check)
 

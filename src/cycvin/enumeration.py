@@ -1,20 +1,23 @@
 """Exact enumeration of cyclic avoidance classes.
 
 Every question about Av_n (counting, refined counting, listing, finding a
-first avoider) reads the leaves of a backtracking search that extends
-sigma_2..sigma_n with sigma_1 = 1 fixed, so the leaves are exactly the
+first avoider) is answered by a backtracking search that extends
+sigma_2..sigma_n with sigma_1 = 1 fixed, so its leaves are exactly the
 (n-1)! canonical cyclic permutations in lexicographic order. Two walks do
 this, one per kind of set, and no logic is shared or duplicated between
 them:
 
 - A non-empty set of totally vincular patterns runs on the window walk,
-  `_Search.leaves`, below.
+  `_Search.leaves`, below, for counts, listings and first avoiders.
 - Every other set runs on the occurrence walk of `occurrence`: bonded sets,
   sets whose patterns bond their 1 to its cyclic predecessor, sets mixing
   both kinds, and the empty set. Its state is the number of unused values
   and the live partial occurrences of every representative, so one kernel
   serves the prefix check, the seam and every question. This module imports
   it on first use.
+- Refined counts of every set, totally vincular ones included, are one
+  memoized vector fold over the occurrence walk's keys, so no avoider is
+  walked leaf by leaf.
 
 The window walk. A prefix is rejected as soon as it contains a forbidden
 window: appending at the end never disturbs the adjacencies or relative
@@ -40,19 +43,13 @@ unused values are all barred is a dead end: it is counted as a node and not
 descended into. This finds only subtrees without an avoider, so node totals
 fall and nothing else changes.
 
-The search forest is split into n-1 shards by the value of sigma_2, and
-`_Search.leaves(v2)` streams the avoiders of one shard; `leaves(None)` walks
-every shard from one root. One search object walks the shards in order and
-counts nodes (the root once per shard) across all of them, so the node
-budget is global: BudgetExceededError is raised when the running total first
-exceeds the budget, with nodes = budget + 1. The refined counts of a totally
-vincular set are the only question that runs the shards in worker processes
-when jobs > 1; their (Counter, nodes) pairs are combined in shard order under
-the same rule, so no result depends on the number of workers, and at most
-jobs + 1 shards are handed out at a time, so after an overrun only those run
-to their end. Every other question runs in the calling process whatever jobs
-is. Enumeration yields each avoider as soon as it is found, so a caller that
-stops early pays only for the nodes visited so far.
+Every search runs in the calling process from one root, which counts as
+one node, and one search object counts the nodes of the whole walk, so
+BudgetExceededError is raised when the total first exceeds the budget, with
+nodes = budget + 1. The jobs argument of the counting functions is accepted
+for compatibility and changes nothing. Enumeration yields each avoider as
+soon as it is found, so a caller that stops early pays only for the nodes
+visited so far.
 
 A count or a first avoider of a totally vincular set gives the window walk a
 memo (the transfer-matrix view of consecutive patterns: Goulden and
@@ -66,12 +63,11 @@ keyed by m and the rank of each tracked value t among the tracked and unused
 values: t minus the number of untracked entries below t, one popcount of
 their bitset. Its subtree count is stored when its frame is popped, and a
 later word with the same key adds that count without being descended into.
-Both memoized searches walk every shard from one root, so one memo spans all
-shards. `count_by_state` folds the counts; `first_avoider` is the exists
-fold: it stops at its first leaf, so every subtree it finishes holds no
-avoider, stores 0, and a later word with the same key is skipped. A listing
-and a refined count have no memo and read the leaves themselves: a listing
-must reach every leaf, which a memo hit skips.
+`count_by_state` folds the counts; `first_avoider` is the exists fold: it
+stops at its first leaf, so every subtree it finishes holds no avoider,
+stores 0, and a later word with the same key is skipped. A listing has no
+memo and reads the leaves themselves: it must reach every leaf, which a memo
+hit skips.
 
 The placement programs that once checked bonded patterns on this walk, a
 hand-written second copy of the occurrence logic (masks from the placements
@@ -85,11 +81,9 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .matcher import avoids_set
@@ -108,10 +102,6 @@ class BudgetExceededError(RuntimeError):
         self.nodes = nodes
         self.n_reached = n_reached
         self.partial = partial
-
-    def __reduce__(self):
-        # workers send this error back to the pool's parent process
-        return type(self), (self.args[0], self.nodes, self.n_reached, self.partial)
 
 
 @cache
@@ -174,17 +164,16 @@ class _Search:
             return 0
         return _ranked(self.window_ranks, word[m - k + 1:])
 
-    def leaves(self, v2: int | None) -> Iterator[tuple[int, ...]]:
-        """Yield the avoiders with sigma_2 = v2 of a totally vincular set, in
-        lexicographic order. With v2 None (always when n = 1) every shard is
-        walked from one root, which counts as one node, not one per shard.
-        The search keeps its stack of frames explicitly, so it can stop at
-        any leaf; `found` counts the avoiders found so far. An accepted word
-        that is a dead end (see the module docstring) is counted as a node
-        and not descended into. With a memo (only `count_by_state` and
-        `first_avoider` set one) a word whose window state is memoized adds
-        the stored count to `found`, counts in `hits` and is not descended
-        into, so the walk then yields only the leaves it reaches."""
+    def leaves(self) -> Iterator[tuple[int, ...]]:
+        """Yield the avoiders of a totally vincular set in lexicographic
+        order. The root counts as one node. The search keeps its stack of
+        frames explicitly, so it can stop at any leaf; `found` counts the
+        avoiders found so far. An accepted word that is a dead end (see the
+        module docstring) is counted as a node and not descended into. With
+        a memo (only `count_by_state` and `first_avoider` set one) a word
+        whose window state is memoized adds the stored count to `found`,
+        counts in `hits` and is not descended into, so the walk then yields
+        only the leaves it reaches."""
         n, k, budget, memo, last_ranks = self.n, self.k, self.budget, self.memo, self.last_ranks
         word: list[int] = []
         free = (2 << n) - 2  # the unused values, as a bitset
@@ -233,8 +222,8 @@ class _Search:
                         if hit is None:
                             # descend: `children` resumes once the new frame
                             # is popped
-                            stack.append((iter((v2,) if m == 1 and v2 else _members(free)),
-                                          self.window_mask(word), state, self.found))
+                            stack.append((iter(_members(free)), self.window_mask(word),
+                                          state, self.found))
                             break
                         self.hits += 1
                         self.found += hit
@@ -258,20 +247,19 @@ class _Search:
 
     def count_by_state(self) -> int:
         """The number of avoiders of a set of totally vincular patterns: the
-        walk of `leaves(None)` with a fresh memo, so subtree counts are
-        memoized on the window state instead of walked leaf by leaf. Nodes
-        count as in `leaves` (every appended value, a memo hit included),
-        and the root is one node, not one per shard. The memo is kept in
-        `memo`, one entry per window state."""
+        walk of `leaves()` with a fresh memo, so subtree counts are memoized
+        on the window state instead of walked leaf by leaf. Nodes count as
+        in `leaves` (every appended value, a memo hit included). The memo is
+        kept in `memo`, one entry per window state."""
         self.memo = {}
-        deque(self.leaves(None), maxlen=0)
+        deque(self.leaves(), maxlen=0)
         return self.found
 
     def words(self) -> Iterator[tuple[int, ...]]:
-        """The avoiders in lexicographic order: shard by shard on the window
-        walk for a totally vincular set, on the occurrence walk otherwise."""
+        """The avoiders in lexicographic order: on the window walk, without a
+        memo, for a totally vincular set, on the occurrence walk otherwise."""
         if _by_state(self.pset):
-            return (word for v2 in _shards(self.n) for word in self.leaves(v2))
+            return self.leaves()
         from .occurrence import occurrence_leaves
 
         return occurrence_leaves(self)
@@ -290,65 +278,27 @@ def _by_state(pset: PatternSet) -> bool:
     return bool(pset.patterns) and all(p.totally_vincular for p in pset.patterns)
 
 
-def _shards(n: int) -> list[int | None]:
-    return [None] if n == 1 else list(range(2, n + 1))
-
-
-def _count_shard(pset: PatternSet, n: int, v2: int, budget: int | None,
-                 stat: str) -> tuple[Counter[int], int]:
-    """(Counter of a statistic, nodes) of one shard under a search of its
-    own: a pool worker's job."""
-    search = _Search(pset, n, budget)
-    return Counter(map(STATS[stat], search.leaves(v2))), search.nodes
-
-
-def _run_shards(pset: PatternSet, n: int, jobs: int, budget: int | None,
-                stat: str | None = None) -> int | Counter[int]:
-    """The count, or the Counter of a statistic, of Av_n; the node budget
-    covers the whole search, for any jobs. Only the refined counts of a
-    totally vincular set (n >= 3) are split into shards that run in a pool,
-    when jobs > 1; every other question runs in this process."""
+def _search(pset: PatternSet, n: int, jobs: int, budget: int | None) -> _Search:
     _validate(pset, n)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    search = _Search(pset, n, budget)
-    if stat is None:
-        if _by_state(pset):
-            return search.count_by_state()
-        # the module is imported on first use
-        from .occurrence import count_by_occurrence
-
-        return count_by_occurrence(search)
-    if jobs == 1 or not _by_state(pset):
-        return Counter(map(STATS[stat], search.words()))
-    shards = _shards(n)
-    total: Counter[int] = Counter()
-    nodes = 0
-    work = iter([(pset, n, v2, budget, stat) for v2 in shards])
-    workers = min(jobs, len(shards))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # one shard more than there are workers is submitted at a time, so no
-        # worker waits for work, and after an overrun no further shard starts
-        running = deque(pool.submit(_count_shard, *args) for args in islice(work, workers + 1))
-        while running:
-            # a shard over the budget on its own raises in its worker, with
-            # the same nodes = budget + 1 as below
-            part, used = running.popleft().result()
-            total += part
-            nodes += used
-            if nodes > search.budget:
-                raise BudgetExceededError("node budget exceeded", search.budget + 1, n)
-            running.extend(pool.submit(_count_shard, *args) for args in islice(work, 1))
-    return total
+    return _Search(pset, n, budget)
 
 
 def count_avoiders(pset: PatternSet, n: int, *, jobs: int = 1,
                    budget: int | None = None) -> int:
     """|Av_n| for a set of cyclic patterns: canonical cyclic permutations
     avoiding all. A set of totally vincular patterns is counted by memoized
-    window state, and every other set by memoized partial occurrences, both
-    in this process whatever jobs is."""
-    return _run_shards(pset, n, jobs, budget)
+    window state, and every other set by memoized partial occurrences. Every
+    search runs in this process; jobs is accepted for compatibility and
+    changes nothing."""
+    search = _search(pset, n, jobs, budget)
+    if _by_state(pset):
+        return search.count_by_state()
+    # the module is imported on first use
+    from .occurrence import count_by_occurrence
+
+    return count_by_occurrence(search)
 
 
 def enumerate_avoiders(pset: PatternSet, n: int, *, budget: int | None = None) -> Iterator[CyclicPerm]:
@@ -361,7 +311,7 @@ def enumerate_avoiders(pset: PatternSet, n: int, *, budget: int | None = None) -
 
 def first_avoider(pset: PatternSet, n: int, *, budget: int | None = None) -> CyclicPerm | None:
     """The lexicographically first avoider, or None if Av_n is empty. For a
-    totally vincular set it is the first leaf of `leaves(None)`, whose root
+    totally vincular set it is the first leaf of `leaves()`, whose root
     counts as one node, with a memo (the exists fold): the walk stops at its
     first avoider, so every subtree it finishes holds none, and a later word
     with the same window state is skipped. Any other set takes the first
@@ -370,7 +320,7 @@ def first_avoider(pset: PatternSet, n: int, *, budget: int | None = None) -> Cyc
     search = _Search(pset, n, budget)
     if _by_state(pset):
         search.memo = {}
-        word = next(search.leaves(None), None)
+        word = next(search.leaves(), None)
     else:
         word = next(search.words(), None)
     return None if word is None else CyclicPerm(LinearPerm(word))
@@ -402,12 +352,20 @@ def predecessor_of_n(c: CyclicPerm) -> int:
 
 def count_refined(pset: PatternSet, n: int, stat: str, *, jobs: int = 1,
                   budget: int | None = None) -> dict[int, int]:
-    """Avoider counts per value of a statistic named in STATS, by increasing value."""
+    """Avoider counts per value of a statistic named in STATS, by increasing
+    value, for any set: one memoized vector fold over the occurrence walk's
+    keys (`occurrence.refine_by_occurrence`), so no avoider is walked leaf by
+    leaf. zeil_reverse is folded over the reverse complement of the set, so
+    its node total is that walk's. Nodes count and the budget applies as in
+    count_avoiders; jobs changes nothing."""
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {tuple(STATS)}")
     if n < 3:
         raise ValueError("refined counts need n >= 3")
-    return dict(sorted(_run_shards(pset, n, jobs, budget, stat).items()))
+    from .occurrence import refine_by_occurrence
+
+    walked = pset.reverse_complement() if stat == "zeil_reverse" else pset
+    return refine_by_occurrence(_search(walked, n, jobs, budget), stat)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """The occurrence walk: live partial occurrences projected onto the unused
-values. It answers every question about a set that is not totally vincular.
+values. It answers every question about a set that is not totally vincular,
+and the refined counts of every set.
 
 This is the gap-vector idea of enumeration schemes (Zeilberger, Ann. Comb.
 2, 1998; Vatter, Combin. Probab. Comput. 17, 2008; Baxter and Pudwell,
@@ -46,13 +47,14 @@ holds fewer unused values than pattern values, or when another at the same
 step has ranges holding all of its own, since whatever completes the first
 completes the second.
 
-Two walks read the states of a search of `enumeration`, which imports this
-module on first use. `count_by_occurrence` memoizes the count below each key.
-`occurrence_leaves` walks depth first over ranks and maps each rank to a
-value through the sorted list of unused values, so it yields the avoiders in
-lexicographic order; listings, first avoiders and refined counts read it.
-When a subtree finishes without a leaf, its key is recorded as dead, and a
-later child with a dead key is skipped. Both are sound because the subtree
+Three walks read the states of a search of `enumeration`, which imports
+this module on first use. `count_by_occurrence` memoizes the count below
+each key, and `refine_by_occurrence` the vector of counts per value of a
+statistic below it. `occurrence_leaves` walks depth first over ranks and
+maps each rank to a value through the sorted list of unused values, so it
+yields the avoiders in lexicographic order; listings and first avoiders read
+it. When a subtree finishes without a leaf, its key is recorded as dead, and
+a later child with a dead key is skipped. All are sound because the subtree
 below a word depends only on its key. The memo and the dead keys live only
 as long as the search.
 """
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from functools import cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .enumeration import BudgetExceededError, _Search
 from .patterns import Pattern, PatternSet
@@ -258,6 +260,75 @@ def _count_from(search: _Search, steps: Steps, s: int, state: State) -> int:
             total += hit
     memo[s, state] = total
     return total
+
+
+def refine_by_occurrence(search: _Search, stat: str) -> dict[int, int]:
+    """The avoiders counted per value of a statistic of `enumeration.STATS`,
+    by increasing value, from one memoized vector fold over the keys of
+    `count_by_occurrence`. The fold below a key with s unused values is a
+    tuple of s + 1 counts, stored once per key in `search.memo`, with its
+    hits in `search.hits`; nodes count as in `count_by_occurrence`.
+
+    - predecessor_of_n: entry j < s counts the avoiders below in which the
+      value before the largest unused value is the unused value of rank j,
+      and entry s those in which it is the word's last entry. At the root,
+      entry j is the value j + 2 and entry n - 1 the value 1.
+    - zeil_reverse: the search is of the reverse complement rc(S) of the
+      set S. For an avoider sigma of S, zeil_reverse(sigma) is t + 1 for
+      the largest t such that the values 2..t+1 appear left to right in the
+      canonical word of rc(sigma), which avoids rc(S). Entry t counts the
+      avoiders below in which the unused values of ranks 0..t-1, and not
+      rank t, appear left to right."""
+    steps = occurrence_steps(search.pset)
+    search.memo = {}
+    state = _root(search, steps)
+    n, pred = search.n, stat == "predecessor_of_n"
+    fold = () if state is None else _fold_from(search, steps, n - 1, state,
+                                               _add_predecessor if pred else _add_chain)
+    values = [*range(2, n + 1), 1] if pred else range(1, n + 1)
+    return {value: count for value, count in sorted(zip(values, fold)) if count}
+
+
+def _fold_from(search: _Search, steps: Steps, s: int, state: State,
+               add: Callable[[list[int], tuple[int, ...], int, int], None]) -> tuple[int, ...]:
+    """The fold below a state with s unused values: `add` puts the fold of
+    each child, at the rank appended, into it. A leaf's fold is (1,)."""
+    memo, budget = search.memo, search.budget
+    bad = steps.rejected(state, s)
+    total = [0] * (s + 1)
+    for r in range(s):
+        search.nodes += 1
+        if search.nodes > budget:
+            raise BudgetExceededError("node budget exceeded", search.nodes, search.n)
+        if bad >> r & 1:
+            continue
+        if s == 1:
+            below = (1,)
+        elif (child := steps.child(state, s, r)) is None:
+            continue
+        elif (below := memo.get((s - 1, child))) is None:
+            below = _fold_from(search, steps, s - 1, child, add)
+        else:
+            search.hits += 1
+        add(total, below, r, s)
+    memo[s, state] = fold = tuple(total)
+    return fold
+
+
+def _add_predecessor(total: list[int], below: tuple[int, ...], r: int, s: int) -> None:
+    """Appending the largest unused value (r = s - 1) makes the word's last
+    entry its predecessor. Appending another rank r shifts the child's ranks
+    from r on up by one, and the child's last entry is then rank r."""
+    for j, count in enumerate(below):
+        total[s if r == s - 1 else r if j == s - 1 else j + (j >= r)] += count
+
+
+def _add_chain(total: list[int], below: tuple[int, ...], r: int, s: int) -> None:
+    """Appending rank 0 starts the chain, which the child's ranks continue;
+    appending a rank r > 0 places it before ranks 0..r-1, so the chain stops
+    at r at most."""
+    for t, count in enumerate(below):
+        total[t + 1 if r == 0 else min(t, r)] += count
 
 
 def occurrence_leaves(search: _Search) -> Iterator[tuple[int, ...]]:

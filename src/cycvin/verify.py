@@ -2,8 +2,10 @@
 
 Each suite sweeps a bounded domain exhaustively (or with a seeded sample where
 noted) and returns a list of counterexample descriptions; an empty list means
-the suite passed. The CLI `verify` subcommand and the test suite both run
-these.
+the suite passed. The CLI `verify` and `bijection-check` subcommands run
+them through `SUITES` and `BIJECTIONS`, which say the sizes each run checks,
+so that a report names those and never the size asked for; the test suite
+calls them directly.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from . import formulas
 from .avoidability import (
@@ -214,7 +217,7 @@ def verify_formulas(n_max: int = 10) -> list[str]:
             expect(PatternSet.from_texts(t), n, formulas.catalan(n - 1), "catalan class")
         expect(PatternSet.from_texts("[1~3,4,2]"), n, formulas.dyck_uudd(n + 1), "dyck uudd class")
     # unique avoiders of the one-bond length-3 patterns
-    for n in range(3, n_max + 1):
+    for n in range(1, n_max + 1):
         for t in ONE_BOND_LEN3_DELTA:
             avs = list(enumerate_avoiders(PatternSet.from_texts(t), n))
             if avs != [_delta(n)]:
@@ -394,28 +397,44 @@ def verify_avoidability(witness_k_max: int = 6, witness_n_max: int = 50,
     return failures
 
 
+class Suite(NamedTuple):
+    """A property suite as the CLI runs it: `check(n_max)` checks each of the
+    suite's families at every n in low..h, where h is n_max capped at `cap`.
+    Below n_max = low some family would check no size. A suite with a
+    `fixed` description checks fixed sizes whatever n_max is."""
+
+    run: Callable[[int], list[str]]
+    low: int = 1
+    cap: int | None = None
+    fixed: str | None = None
+
+    def horizon(self, n_max: int) -> int:
+        return n_max if self.cap is None else min(n_max, self.cap)
+
+    def check(self, n_max: int) -> list[str]:
+        return self.run(self.horizon(n_max))
+
+    def checked(self, n_max: int) -> str:
+        """What a run at n_max checks, for its report."""
+        h = self.horizon(n_max)
+        return self.fixed or (f"n={self.low}..{h}" if h > self.low else f"n={h}")
+
+
 SUITES = {
-    "symmetry": lambda n_max: (
-        verify_symmetry(min(n_max, 7))
-        + verify_devincularization(min(n_max, 7))
-        + verify_representative_independence(min(n_max, 7))
-    ),
-    "pruning": lambda n_max: verify_pruning(min(n_max, 8)),
-    "formulas": lambda n_max: verify_formulas(n_max),
-    "bijections": lambda n_max: (
-        verify_bijections(min(n_max, 9)) + verify_cyclic_order_axioms(min(n_max, 8))
-    ),
-    "avoidability": lambda n_max: verify_avoidability(),
-    "wilf": lambda n_max: verify_wilf_orbits(min(n_max, 9)),
+    "symmetry": Suite(lambda h: (verify_symmetry(h) + verify_devincularization(h)
+                                 + verify_representative_independence(h)), cap=7),
+    "pruning": Suite(lambda h: verify_pruning(h, heavy_n_max=h), cap=8),
+    "formulas": Suite(verify_formulas),
+    "bijections": Suite(lambda h: (verify_bijections(h, orders_n_max=h - 2)
+                                   + verify_cyclic_order_axioms(h)), low=4, cap=9),
+    "avoidability": Suite(lambda h: verify_avoidability(),
+                          fixed="fixed sizes: searches up to n=9, witnesses up to n=50"),
+    "wilf": Suite(verify_wilf_orbits, cap=9),
 }
 
-
-def run_suite(name: str, n_max: int = 8) -> list[str]:
-    if name == "all":
-        failures = []
-        for key in SUITES:
-            failures.extend(SUITES[key](n_max))
-        return failures
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](n_max)
+# the suites of `cycvin bijection-check`, one per map
+BIJECTIONS = {
+    "cyclic-order": Suite(lambda h: verify_cyclic_order_bijection(h, h - 2), low=3, cap=9),
+    "max-pred": Suite(verify_pred_bijection, low=4),
+    "max-chain": Suite(verify_chain_bijection, low=4),
+}

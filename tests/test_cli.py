@@ -268,3 +268,68 @@ def test_verify_n_max_below_one(capsys, n_max):
     code, out, err = run(capsys, "verify", "pruning", "--n-max", n_max)
     assert code == 2
     assert out == "" and "--n-max" in err
+
+
+# (command, its size flag, the suite table, suite, smallest size, largest n
+# checked)
+SUITE_BOUNDS = [("verify", "--n-max", "SUITES", name, low, cap) for name, low, cap in (
+    ("symmetry", 1, 7), ("pruning", 1, 8), ("formulas", 1, None), ("bijections", 4, 9),
+    ("wilf", 1, 9))] + [("bijection-check", "--n", "BIJECTIONS", name, low, cap)
+                        for name, low, cap in (("cyclic-order", 3, 9), ("max-pred", 4, None),
+                                               ("max-chain", 4, None))]
+
+
+def _args(command, flag, name, n):
+    return ((command, name) if command == "verify" else (command, "--map", name)) + (flag, str(n))
+
+
+@pytest.mark.parametrize("command, flag, table, name, low, cap", SUITE_BOUNDS)
+def test_suites_report_the_range_they_checked(capsys, monkeypatch, command, flag, table, name,
+                                              low, cap):
+    # the report names the sizes the suite ran, never a requested size above
+    # its cap, and a size below its smallest is refused
+    from cycvin import verify
+
+    suites, ran = getattr(verify, table), []
+    monkeypatch.setitem(suites, name, suites[name]._replace(run=lambda h: ran.append(h) or []))
+    what = "suite" if command == "verify" else "map"
+    code, out, _ = run(capsys, *_args(command, flag, name, 12))
+    top = 12 if cap is None else cap
+    assert (code, ran, out) == (0, [top], f"PASS: {what} {name!r} checked n={low}..{top}\n")
+    ran.clear()
+    code, out, err = run(capsys, *_args(command, flag, name, low - 1))
+    assert (code, ran, out) == (2, [], "") and f"{flag} >= {low}" in err
+
+
+@pytest.mark.parametrize("command, flag, table, name, low, cap", SUITE_BOUNDS)
+def test_suites_pass_at_their_smallest_size(capsys, command, flag, table, name, low, cap):
+    what = "suite" if command == "verify" else "map"
+    code, out, _ = run(capsys, *_args(command, flag, name, low))
+    assert (code, out) == (0, f"PASS: {what} {name!r} checked n={low}\n")
+
+
+def test_verify_avoidability_reports_its_fixed_sizes(capsys, monkeypatch):
+    # the avoidability suite checks fixed sizes, so --n-max does not change
+    # what it runs or what it reports
+    from cycvin import verify
+
+    monkeypatch.setitem(verify.SUITES, "avoidability",
+                        verify.SUITES["avoidability"]._replace(run=lambda h: []))
+    for n_max in ("1", "12"):
+        code, out, _ = run(capsys, "verify", "avoidability", "--n-max", n_max)
+        assert code == 0
+        assert out == ("PASS: suite 'avoidability' checked fixed sizes: searches up to n=9, "
+                       "witnesses up to n=50\n")
+
+
+def test_verify_all_reports_every_suite(capsys, monkeypatch):
+    from cycvin import verify
+
+    for name, suite in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, suite._replace(run=lambda h: []))
+    code, out, _ = run(capsys, "verify", "all", "--n-max", "8")
+    assert code == 0
+    assert [line.split()[2] for line in out.splitlines()] == [f"{name!r}" for name in verify.SUITES]
+    assert "'symmetry' checked n=1..7" in out and "'wilf' checked n=1..8" in out
+    code, _, err = run(capsys, "verify", "all", "--n-max", "3")
+    assert code == 2 and "'bijections'" in err

@@ -3,17 +3,14 @@ import json
 import math
 import random
 from collections import Counter
-from concurrent.futures import Future
-from types import SimpleNamespace
 
 import pytest
 
 from cycvin.enumeration import (
+    STATS,
     BudgetExceededError,
     _by_state,
-    _count_shard,
     _Search,
-    _shards,
     count_avoiders,
     count_avoiders_naive,
     count_range,
@@ -23,7 +20,14 @@ from cycvin.enumeration import (
     predecessor_of_n,
 )
 from cycvin.avoidability import find_avoider, patterns_with_min_at
-from cycvin.formulas import av_bond12_34, av_consec_123, av_consec_132, catalan, updown
+from cycvin.formulas import (
+    av_bond12_34,
+    av_consec_123,
+    av_consec_132,
+    catalan,
+    catalan_triangle,
+    updown,
+)
 from cycvin.matcher import _contains_cyclic_rep, avoids_set
 from cycvin.occurrence import _anchored, count_by_occurrence, occurrence_leaves, occurrence_steps
 from cycvin.patterns import (
@@ -257,40 +261,38 @@ def test_anchored_reps_are_built_for_a_bonded_1_only():
 @pytest.mark.parametrize("texts, n, nodes", [
     (("[1~3,2,4]",), 8, 2003),
     (("[2~3,4,1]",), 8, 2848),
-    (("[1~2~3]", "[2~3~1]"), 9, 17664),
-    (("[1~2~3]", "[3~2~1]"), 9, 10480),
+    (("[1~2~3]", "[2~3~1]"), 9, 17657),
+    (("[1~2~3]", "[3~2~1]"), 9, 10473),
 ])
 def test_node_totals_are_pinned(texts, n, nodes):
     # the nodes of a listing: a change of pruning strength shows here. The
-    # first two run on the occurrence walk, the last two on the window walk,
-    # where one search object walking all shards counts the same nodes as a
-    # fresh search per shard (a pool worker's)
+    # first two run on the occurrence walk, the last two on the window walk
+    # from one root
     s = PatternSet.from_texts(*texts)
     search = _Search(s, n, None)
     assert sum(1 for _ in search.words()) == count_avoiders(s, n)
     assert search.nodes == nodes
-    if _by_state(s):
-        assert sum(_count_shard(s, n, v2, None, "zeil_reverse")[1] for v2 in _shards(n)) == nodes
 
 
 @pytest.mark.parametrize("pset, n, first, nodes", [
     (PatternSet.from_texts("[1~2,3,4]"), 9, (1, 2, 9, 8, 7, 6, 5, 4, 3), 30),
     (PatternSet.from_texts("[2~3,4,1]"), 9, (1, 2, 9, 3, 8, 7, 6, 5, 4), 39),
-    (patterns_with_min_at(2, 4), 8, None, 56),
+    (patterns_with_min_at(2, 4), 8, None, 50),
     (PatternSet.from_texts("[1~2~3~4]", "[1~3,2,4]"), 8, (1, 2, 8, 4, 5, 3, 6, 7), 55),
 ])
 def test_first_leaf_nodes_are_pinned(pset, n, first, nodes):
     # the nodes walked up to the first avoider (or to the end of an empty
     # class) by a listing: a rejected child still counts as a node. The
-    # totally vincular set walks its shards one by one without a memo
+    # totally vincular set walks from one root without a memo
     search = _Search(pset, n, None)
     assert next(search.words(), None) == first
     assert search.nodes == nodes
 
 
 def test_find_avoider_budget_edge():
-    # find_avoider walks every shard from one root with the memo, so it visits
-    # fewer nodes than the per-shard first-leaf walk pinned above (56)
+    # find_avoider walks with the memo; on this empty class it visits the
+    # same 50 nodes as the listing pinned above: both walks end at length 3,
+    # before the first word that has a memo key
     s = patterns_with_min_at(2, 4)
     with pytest.raises(BudgetExceededError) as info:
         find_avoider(s, 8, budget=49)
@@ -406,7 +408,7 @@ def test_masks_agree_with_the_matcher_on_random_sets():
 
 def test_enumerate_streams_under_a_small_budget():
     # the first avoider is the increasing word, reached after n nodes; the
-    # search must not walk the rest of its shard before yielding it
+    # search must not walk the rest of the tree before yielding it
     first = next(enumerate_avoiders(PatternSet.from_texts("[1~3,2,4]"), 8, budget=200))
     assert first.canonical.values == tuple(range(1, 9))
 
@@ -424,90 +426,34 @@ def _budget_outcome(s, n, budget, jobs, stat=None):
 # Catalan numbers; its 1 is bonded to its cyclic predecessor, so it has an
 # anchored representative
 SEAM_CATALAN = PatternSet.from_texts("[2,3~1,4]")
-# Table 1's first row: totally vincular, so its refined counts are the only
-# question that runs the shards in a pool
-POOLED = PatternSet.from_texts("[1~2~3]", "[2~3~1]")
+# Table 1's first row: totally vincular, so it is counted on the window walk
+# and its refined counts fold on the occurrence walk
+TV_PAIR = PatternSet.from_texts("[1~2~3]", "[2~3~1]")
 
 
 def test_budget_is_global_across_jobs():
-    # at budget 100 the first shard alone is over the budget, so the error is
-    # raised in a worker and must come back through the pool
-    s, stat = POOLED, "predecessor_of_n"
-    for budget in (100, 5000):
+    # no count, refined count or budget outcome depends on jobs; the refined
+    # count of TV_PAIR at n = 9 takes 372 nodes
+    s, stat = TV_PAIR, "predecessor_of_n"
+    for budget in (100, 371):
         one = _budget_outcome(s, 9, budget, 1, stat)
         assert one == ("budget", budget + 1)
         assert _budget_outcome(s, 9, budget, 2, stat) == one
-    whole = _budget_outcome(s, 9, 17664, 1, stat)
+    whole = _budget_outcome(s, 9, 372, 1, stat)
     assert whole[0] == "count" and sum(whole[1].values()) == 1524
-    assert _budget_outcome(s, 9, 17664, 2, stat) == whole
-    assert _budget_outcome(s, 9, 17663, 2, stat) == ("budget", 17664)
-    # every other question runs in this process, under the same rule
+    assert _budget_outcome(s, 9, 372, 2, stat) == whole
     for jobs in (1, 2):
         assert _budget_outcome(SEAM_CATALAN, 8, 674, jobs) == ("count", 429)
         assert _budget_outcome(SEAM_CATALAN, 8, 673, jobs) == ("budget", 674)
-        assert _budget_outcome(PatternSet.from_texts("[1~4,2,3]"), 8, 1000, jobs,
-                               "predecessor_of_n") == ("budget", 1001)
-
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """Stand in for ProcessPoolExecutor, in this process, so no large pool is
-    ever started. A submitted shard runs at once, as if a worker had taken
-    it; records the requested workers and the sigma_2 of every shard that
-    ran."""
-    from cycvin import enumeration
-
-    log = SimpleNamespace(workers=[], ran=[])
-
-    class FakePool:
-        def __init__(self, max_workers):
-            log.workers.append(max_workers)
-
-        def submit(self, fn, *args):
-            log.ran.append(args[2])
-            future = Future()
-            try:
-                future.set_result(fn(*args))
-            except BudgetExceededError as exc:
-                future.set_exception(exc)
-            return future
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
-    return log
-
-
-def test_worker_count_is_capped_by_shards(fake_pool):
-    s = POOLED
-    assert sum(count_refined(s, 6, "predecessor_of_n", jobs=64).values()) == 14
-    assert fake_pool.workers == [5]
-    assert sum(count_refined(s, 6, "zeil_reverse", jobs=64).values()) == 14
-    assert fake_pool.workers == [5, 5]
-    with pytest.raises(BudgetExceededError) as info:
-        count_refined(s, 8, "predecessor_of_n", jobs=64, budget=1000)
-    assert info.value.nodes == 1001
+        bonded = PatternSet.from_texts("[1~4,2,3]")
+        outcome = _budget_outcome(bonded, 8, 400, jobs, "predecessor_of_n")
+        assert outcome[0] == "count" and sum(outcome[1].values()) == catalan(7)
+        assert _budget_outcome(bonded, 8, 399, jobs, "predecessor_of_n") == ("budget", 400)
+    # jobs is accepted and changes nothing, but must be at least 1
     with pytest.raises(ValueError, match="jobs"):
         count_refined(s, 6, "predecessor_of_n", jobs=0)
     with pytest.raises(ValueError, match="jobs"):
         count_avoiders(SEAM_CATALAN, 6, jobs=0)
-
-
-def test_pool_overrun_starts_no_further_shard(fake_pool):
-    # two workers hold at most three shards; once the running total is over
-    # the budget, or a worker raises, no later shard is started
-    s, stat = POOLED, "predecessor_of_n"
-    first, second = (_count_shard(s, 8, v2, None, stat)[1] for v2 in (2, 3))
-    for budget, ran in ((first + second - 1, [2, 3, 4, 5]), (first - 1, [2, 3, 4])):
-        fake_pool.ran.clear()
-        with pytest.raises(BudgetExceededError) as info:
-            count_refined(s, 8, stat, jobs=2, budget=budget)
-        assert info.value.nodes == budget + 1
-        assert fake_pool.ran == ran
 
 
 TV3 = list(all_totally_vincular(3))
@@ -515,9 +461,34 @@ TV4 = list(all_totally_vincular(4))
 
 
 def _leaf_count(s, n):
-    """The length of the listing: the window walk's leaves, shard by shard
-    and without a memo, or the occurrence walk's."""
+    """The length of the listing: the window walk's leaves, without a memo,
+    or the occurrence walk's."""
     return sum(1 for _ in _Search(s, n, None).words())
+
+
+def test_refined_fold_matches_the_leaves_on_totally_vincular_sets():
+    # the fold runs on the occurrence walk (of the set, or of its reverse
+    # complement for zeil_reverse), the listing on the window walk, so the
+    # two share no search code; STATS reads each listed word
+    rng = random.Random(21)
+    for _ in range(12):
+        s = PatternSet(frozenset(rng.sample(TV4, rng.randint(4, 18))))
+        for n in range(3, 10):
+            words = list(_Search(s, n, None).words())
+            for stat in STATS:
+                expected = dict(sorted(Counter(map(STATS[stat], words)).items()))
+                assert count_refined(s, n, stat) == expected, (s, n, stat)
+
+
+def test_refined_fold_matches_the_catalan_triangle():
+    # the two refinements that explain the Catalan classes, under the index
+    # maps of the benchmark's refinement checks
+    pred, chain = PatternSet.from_texts("[1~4,2,3]"), PatternSet.from_texts("[1~4,3,2]")
+    for n in range(3, 15):
+        assert count_refined(pred, n, "predecessor_of_n") == {
+            i: catalan_triangle(n - 2, i - 1) for i in range(1, n)}, n
+        assert count_refined(chain, n, "zeil_reverse") == {
+            z: catalan_triangle(n - 2, n - z) for z in range(2, n + 1)}, n
 
 
 def test_state_count_matches_leaves_on_every_k3_set():
@@ -642,10 +613,11 @@ def test_occurrence_count_nodes_are_pinned():
         assert _budget_outcome(s, 10, 1180, jobs) == ("budget", 1181)
 
 
-def test_occurrence_memo_is_chosen_from_the_set(fake_pool):
+def test_occurrence_memo_is_chosen_from_the_set():
     # a set that is not totally vincular (bonded, with an anchored
     # representative, mixed or empty) runs on the occurrence walk for every
-    # question, without a pool; a totally vincular set keeps the window walk
+    # question; a totally vincular set keeps the window walk for its counts
+    # and folds its refined counts on the occurrence walk
     n = 8
     for s in (PatternSet.from_texts("[1~3,2,4]"), SEAM_CATALAN,
               PatternSet.from_texts("[1~2~3~4]", "[1~3,2,4]"), PatternSet(frozenset())):
@@ -659,12 +631,8 @@ def test_occurrence_memo_is_chosen_from_the_set(fake_pool):
         refined = count_refined(s, n, "predecessor_of_n", jobs=2)
         assert sum(refined.values()) == count
     assert count_avoiders(SEAM_CATALAN, n, jobs=2) == 429
-    assert fake_pool.workers == []
-    # refined counts of a totally vincular set keep the window walk and the pool
-    assert sum(count_refined(POOLED, n, "predecessor_of_n", jobs=2).values()) == 278
-    assert fake_pool.workers == [2]
-    assert count_avoiders(POOLED, n, jobs=2) == 278
-    assert fake_pool.workers == [2]
+    assert sum(count_refined(TV_PAIR, n, "predecessor_of_n", jobs=2).values()) == 278
+    assert count_avoiders(TV_PAIR, n, jobs=2) == 278
 
 
 @pytest.mark.parametrize("texts", [("[1~2~3]",), ("[1~2~3]", "[2~3~1]")])
@@ -690,17 +658,3 @@ def test_window_masks_match_reduce_window():
                     expected = sum(1 << v for v in range(1, n + 1) if v not in tail
                                    and reduce_window(tail + (v,)) in forbidden)
                     assert search.window_mask(tail) & ((2 << n) - 1) == expected, (s, tail)
-
-
-@pytest.mark.parametrize("texts", [("[1~2~3]", "[2~3~1]"), ("[1~3~2]",)])
-def test_one_root_walks_every_shard(texts):
-    # leaves(None) without a memo yields the shards' leaves in shard order and
-    # counts the root once instead of once per shard
-    s = PatternSet.from_texts(*texts)
-    for n in range(1, 8):
-        per_shard = _Search(s, n, None)
-        leaves = [w for v2 in _shards(n) for w in per_shard.leaves(v2)]
-        one_root = _Search(s, n, None)
-        assert list(one_root.leaves(None)) == leaves, n
-        assert one_root.nodes == per_shard.nodes - (len(_shards(n)) - 1), n
-        assert one_root.memo is None
