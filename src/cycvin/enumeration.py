@@ -15,9 +15,9 @@ them:
   and the live partial occurrences of every representative, so one kernel
   serves the prefix check, the seam and every question. This module imports
   it on first use.
-- Refined counts of every set, totally vincular ones included, are one
-  memoized vector fold over the occurrence walk's keys, so no avoider is
-  walked leaf by leaf.
+- Refined counts of every set, totally vincular ones included, run the
+  occurrence walk's memoized count with a vector of counts per key, so no
+  avoider is walked leaf by leaf.
 
 The window walk. A prefix is rejected as soon as it contains a forbidden
 window: appending at the end never disturbs the adjacencies or relative
@@ -68,13 +68,6 @@ stops at its first leaf, so every subtree it finishes holds no avoider,
 stores 0, and a later word with the same key is skipped. A listing has no
 memo and reads the leaves themselves: it must reach every leaf, which a memo
 hit skips.
-
-The placement programs that once checked bonded patterns on this walk, a
-hand-written second copy of the occurrence logic (masks from the placements
-of a one-entry last block, a per-entry check of wider last blocks, and a
-seam placement for a pattern whose 1 is bonded to its predecessor), are
-deleted: the occurrence walk's rejected ranks, dead states and anchored
-representatives do their work.
 """
 
 from __future__ import annotations
@@ -353,19 +346,16 @@ def predecessor_of_n(c: CyclicPerm) -> int:
 def count_refined(pset: PatternSet, n: int, stat: str, *, jobs: int = 1,
                   budget: int | None = None) -> dict[int, int]:
     """Avoider counts per value of a statistic named in STATS, by increasing
-    value, for any set: one memoized vector fold over the occurrence walk's
-    keys (`occurrence.refine_by_occurrence`), so no avoider is walked leaf by
-    leaf. zeil_reverse is folded over the reverse complement of the set, so
-    its node total is that walk's. Nodes count and the budget applies as in
-    count_avoiders; jobs changes nothing."""
+    value, for any set and every n >= 1: the occurrence walk's memoized
+    count with a vector of counts per key (`occurrence.refine_by_occurrence`),
+    so no avoider is walked leaf by leaf. zeil_reverse walks the reverse
+    complement of the set, so its node total is that walk's. Nodes count and
+    the budget applies as in count_avoiders; jobs changes nothing."""
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {tuple(STATS)}")
-    if n < 3:
-        raise ValueError("refined counts need n >= 3")
     from .occurrence import refine_by_occurrence
 
-    walked = pset.reverse_complement() if stat == "zeil_reverse" else pset
-    return refine_by_occurrence(_search(walked, n, jobs, budget), stat)
+    return refine_by_occurrence(_search(pset, n, jobs, budget), stat)
 
 
 @dataclass

@@ -47,23 +47,27 @@ holds fewer unused values than pattern values, or when another at the same
 step has ranges holding all of its own, since whatever completes the first
 completes the second.
 
-Three walks read the states of a search of `enumeration`, which imports
-this module on first use. `count_by_occurrence` memoizes the count below
-each key, and `refine_by_occurrence` the vector of counts per value of a
-statistic below it. `occurrence_leaves` walks depth first over ranks and
-maps each rank to a value through the sorted list of unused values, so it
-yields the avoiders in lexicographic order; listings and first avoiders read
-it. When a subtree finishes without a leaf, its key is recorded as dead, and
-a later child with a dead key is skipped. All are sound because the subtree
-below a word depends only on its key. The memo and the dead keys live only
-as long as the search.
+One recursion of one loop shape reads the states of a search of
+`enumeration`, which imports this module on first use. Below a key it tries
+every rank in increasing order, counts each as a node, skips a rejected or
+dead child and descends into the key of any other. A word with no unused
+value is a leaf, the root at n = 1 included. `_fold_from` folds a value over
+the children by the rule of a `Fold` and memoizes it per key: `COUNT` sums
+the avoiders below, and each statistic of `STATISTICS` sums a vector of
+counts per value of the statistic. `_leaves_from` is the same loop as a
+generator: it maps each rank to a value through the sorted list of unused
+values, so it yields the avoiders in lexicographic order; listings and first
+avoiders read it. When no avoider is found below a key, the key is recorded
+as dead, and a later child with a dead key is skipped. All are sound because
+the subtree below a word depends only on its key. The memo and the dead keys
+live only as long as the search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from functools import cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .enumeration import BudgetExceededError, _Search
 from .patterns import Pattern, PatternSet
@@ -221,114 +225,107 @@ def _root(search: _Search, steps: Steps) -> State | None:
     return steps.root(search.n)
 
 
-def count_by_occurrence(search: _Search) -> int:
-    """The number of avoiders of a search's set, memoized on the key. Nodes
-    count the root once, then every tried rank of every expanded state, a
-    rejected or dead child or a memo hit included. The memo is kept in
-    `search.memo`, one entry per expanded state, and its hits in
-    `search.hits`."""
-    steps = occurrence_steps(search.pset)
-    search.memo = {}
-    state = _root(search, steps)
-    return 0 if state is None else _count_from(search, steps, search.n - 1, state)
+class Fold(NamedTuple):
+    """A question folded over the keys of the walk. A complete word's fold is
+    `leaf`. The fold below a key with s unused values starts from
+    `zero * (s + 1)` (an int 0, or a list of s + 1 zeros), and
+    `add(total, below, r, s)` returns it with the fold below the child of
+    rank r added. A statistic's fold at the root has one entry per value,
+    `values(n)` in entry order, and is taken over the reverse complement of
+    the set when `reverse` is set."""
+
+    leaf: Any
+    zero: Any
+    add: Callable[[Any, Any, int, int], Any]
+    values: Callable[[int], Sequence[int]] | None = None
+    reverse: bool = False
 
 
-def _count_from(search: _Search, steps: Steps, s: int, state: State) -> int:
-    """The number of avoiders below a state with s unused values."""
-    if not s:
-        return 1
-    memo, budget = search.memo, search.budget
-    bad = steps.rejected(state, s)
-    total = 0
-    for r in range(s):
-        search.nodes += 1
-        if search.nodes > budget:
-            raise BudgetExceededError("node budget exceeded", search.nodes, search.n)
-        if bad >> r & 1:
-            continue
-        if s == 1:
-            total += 1
-            continue
-        child = steps.child(state, s, r)
-        if child is None:
-            continue
-        hit = memo.get((s - 1, child))
-        if hit is None:
-            total += _count_from(search, steps, s - 1, child)
-        else:
-            search.hits += 1
-            total += hit
-    memo[s, state] = total
-    return total
-
-
-def refine_by_occurrence(search: _Search, stat: str) -> dict[int, int]:
-    """The avoiders counted per value of a statistic of `enumeration.STATS`,
-    by increasing value, from one memoized vector fold over the keys of
-    `count_by_occurrence`. The fold below a key with s unused values is a
-    tuple of s + 1 counts, stored once per key in `search.memo`, with its
-    hits in `search.hits`; nodes count as in `count_by_occurrence`.
-
-    - predecessor_of_n: entry j < s counts the avoiders below in which the
-      value before the largest unused value is the unused value of rank j,
-      and entry s those in which it is the word's last entry. At the root,
-      entry j is the value j + 2 and entry n - 1 the value 1.
-    - zeil_reverse: the search is of the reverse complement rc(S) of the
-      set S. For an avoider sigma of S, zeil_reverse(sigma) is t + 1 for
-      the largest t such that the values 2..t+1 appear left to right in the
-      canonical word of rc(sigma), which avoids rc(S). Entry t counts the
-      avoiders below in which the unused values of ranks 0..t-1, and not
-      rank t, appear left to right."""
-    steps = occurrence_steps(search.pset)
-    search.memo = {}
-    state = _root(search, steps)
-    n, pred = search.n, stat == "predecessor_of_n"
-    fold = () if state is None else _fold_from(search, steps, n - 1, state,
-                                               _add_predecessor if pred else _add_chain)
-    values = [*range(2, n + 1), 1] if pred else range(1, n + 1)
-    return {value: count for value, count in sorted(zip(values, fold)) if count}
-
-
-def _fold_from(search: _Search, steps: Steps, s: int, state: State,
-               add: Callable[[list[int], tuple[int, ...], int, int], None]) -> tuple[int, ...]:
-    """The fold below a state with s unused values: `add` puts the fold of
-    each child, at the rank appended, into it. A leaf's fold is (1,)."""
-    memo, budget = search.memo, search.budget
-    bad = steps.rejected(state, s)
-    total = [0] * (s + 1)
-    for r in range(s):
-        search.nodes += 1
-        if search.nodes > budget:
-            raise BudgetExceededError("node budget exceeded", search.nodes, search.n)
-        if bad >> r & 1:
-            continue
-        if s == 1:
-            below = (1,)
-        elif (child := steps.child(state, s, r)) is None:
-            continue
-        elif (below := memo.get((s - 1, child))) is None:
-            below = _fold_from(search, steps, s - 1, child, add)
-        else:
-            search.hits += 1
-        add(total, below, r, s)
-    memo[s, state] = fold = tuple(total)
-    return fold
-
-
-def _add_predecessor(total: list[int], below: tuple[int, ...], r: int, s: int) -> None:
+def _add_predecessor(total: list[int], below: Sequence[int], r: int, s: int) -> list[int]:
     """Appending the largest unused value (r = s - 1) makes the word's last
     entry its predecessor. Appending another rank r shifts the child's ranks
     from r on up by one, and the child's last entry is then rank r."""
     for j, count in enumerate(below):
         total[s if r == s - 1 else r if j == s - 1 else j + (j >= r)] += count
+    return total
 
 
-def _add_chain(total: list[int], below: tuple[int, ...], r: int, s: int) -> None:
+def _add_chain(total: list[int], below: Sequence[int], r: int, s: int) -> list[int]:
     """Appending rank 0 starts the chain, which the child's ranks continue;
     appending a rank r > 0 places it before ranks 0..r-1, so the chain stops
     at r at most."""
     for t, count in enumerate(below):
         total[t + 1 if r == 0 else min(t, r)] += count
+    return total
+
+
+# the count keeps plain ints: a fold of one-entry vectors is slower
+COUNT = Fold(1, 0, lambda total, below, r, s: total + below)
+# each statistic of `enumeration.STATS`, folded as a vector of s + 1 counts:
+# - predecessor_of_n: entry j < s counts the avoiders below in which the
+#   value before the largest unused value is the unused value of rank j, and
+#   entry s those in which it is the word's last entry.
+# - zeil_reverse: for an avoider sigma of a set S, zeil_reverse(sigma) is
+#   t + 1 for the largest t such that the values 2..t+1 appear left to right
+#   in the canonical word of rc(sigma), which avoids rc(S). Entry t counts the
+#   avoiders below in which the unused values of ranks 0..t-1, and not rank
+#   t, appear left to right.
+STATISTICS = {
+    "predecessor_of_n": Fold((1,), [0], _add_predecessor, lambda n: [*range(2, n + 1), 1]),
+    "zeil_reverse": Fold((1,), [0], _add_chain, lambda n: range(1, n + 1), reverse=True),
+}
+
+
+def count_by_occurrence(search: _Search) -> int:
+    """The number of avoiders of a search's set. Nodes count the root once,
+    then every tried rank of every expanded state, a rejected or dead child
+    or a memo hit included. The memo is kept in `search.memo`, one entry per
+    expanded state, and its hits in `search.hits`."""
+    return _fold_root(search, COUNT)
+
+
+def refine_by_occurrence(search: _Search, stat: str) -> dict[int, int]:
+    """The avoiders of a search's set counted per value of a statistic of
+    `STATISTICS`, by increasing value. The walk, its nodes, memo and hits
+    are those of `count_by_occurrence` on the set the statistic walks."""
+    fold = STATISTICS[stat]
+    totals = _fold_root(search, fold)
+    return {value: count for value, count in sorted(zip(fold.values(search.n), totals)) if count}
+
+
+def _fold_root(search: _Search, fold: Fold) -> Any:
+    """The fold below the root of a search, from a fresh memo."""
+    steps = occurrence_steps(search.pset.reverse_complement() if fold.reverse else search.pset)
+    search.memo = {}
+    state = _root(search, steps)
+    s = search.n - 1
+    return fold.zero * (s + 1) if state is None else _fold_from(search, steps, s, state, fold)
+
+
+def _fold_from(search: _Search, steps: Steps, s: int, state: State, fold: Fold) -> Any:
+    """The fold below a state with s unused values, stored in the memo."""
+    if not s:
+        return fold.leaf
+    memo, budget, add = search.memo, search.budget, fold.add
+    bad = steps.rejected(state, s)
+    total = fold.zero * (s + 1)
+    for r in range(s):
+        search.nodes += 1
+        if search.nodes > budget:
+            raise BudgetExceededError("node budget exceeded", search.nodes, search.n)
+        if bad >> r & 1:
+            continue
+        if s == 1:
+            below = fold.leaf
+        elif (child := steps.child(state, s, r)) is None:
+            continue
+        elif (below := memo.get((s - 1, child))) is None:
+            below = _fold_from(search, steps, s - 1, child, fold)
+        else:
+            search.hits += 1
+        total = add(total, below, r, s)
+    memo[s, state] = total
+    return total
 
 
 def occurrence_leaves(search: _Search) -> Iterator[tuple[int, ...]]:
@@ -336,42 +333,35 @@ def occurrence_leaves(search: _Search) -> Iterator[tuple[int, ...]]:
     soon as it is reached. Nodes count as in `count_by_occurrence`: the root
     once, then every tried rank, a rejected or dead child or a child with a
     dead key included."""
-    n, budget = search.n, search.budget
     steps = occurrence_steps(search.pset)
     state = _root(search, steps)
-    if state is None:
+    if state is not None:
+        yield from _leaves_from(search, steps, search.n - 1, state, [1],
+                                list(range(2, search.n + 1)), set())
+
+
+def _leaves_from(search: _Search, steps: Steps, s: int, state: State, word: list[int],
+                 unused: list[int], dead: set[tuple[int, State]]) -> Iterator[tuple[int, ...]]:
+    """Yield the avoiders below a word with s unused values, listed in
+    increasing order in `unused`, and put its key in `dead` if none is."""
+    if not s:
+        search.found += 1
+        yield tuple(word)
         return
-    if n == 1:
-        yield (1,)
-        return
-    word, unused = [1], list(range(2, n + 1))
-    found = 0
-    dead: set[tuple[int, State]] = set()
-    # one frame per word on the path: s, its state, the ranks it rejects, the
-    # ranks left to try and the leaves found before it was pushed
-    stack = [(n - 1, state, steps.rejected(state, n - 1), iter(range(n - 1)), found)]
-    while stack:
-        s, state, bad, ranks, before = stack[-1]
-        for r in ranks:
-            search.nodes += 1
-            if search.nodes > budget:
-                raise BudgetExceededError("node budget exceeded", search.nodes, n)
-            if bad >> r & 1:
-                continue
-            if s == 1:
-                found += 1
-                yield (*word, unused[0])
-                continue
-            child = steps.child(state, s, r)
-            if child is None or (s - 1, child) in dead:
-                continue
-            # descend: `ranks` resumes once the new frame is popped
+    found, budget = search.found, search.budget
+    bad = steps.rejected(state, s)
+    for r in range(s):
+        search.nodes += 1
+        if search.nodes > budget:
+            raise BudgetExceededError("node budget exceeded", search.nodes, search.n)
+        if bad >> r & 1:
+            continue
+        if s == 1:
+            search.found += 1
+            yield (*word, unused[0])
+        elif (child := steps.child(state, s, r)) is not None and (s - 1, child) not in dead:
             word.append(unused.pop(r))
-            stack.append((s - 1, child, steps.rejected(child, s - 1), iter(range(s - 1)), found))
-            break
-        else:
-            stack.pop()
-            if found == before:
-                dead.add((s, state))
-            if stack:
-                insort(unused, word.pop())
+            yield from _leaves_from(search, steps, s - 1, child, word, unused, dead)
+            unused.insert(r, word.pop())
+    if search.found == found:
+        dead.add((s, state))

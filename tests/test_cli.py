@@ -135,6 +135,16 @@ def test_refined_count(capsys):
     assert "1:1 2:3 3:5 4:5" in out
 
 
+def test_refined_count_from_n_1(capsys):
+    # a refined range may start at n = 1, which the fold answers like any n
+    code, out, _ = run(capsys, "count", "--set", "[1~4,2,3]", "--n", "1..5",
+                       "--stat", "predecessor_of_n")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["n=1", "n=2", "n=3", "n=4", "n=5"]
+    assert rows[0].endswith("predecessor_of_n: 1:1") and rows[1].endswith("predecessor_of_n: 1:1")
+
+
 def test_formula(capsys):
     assert run(capsys, "formula", "catalan", "--n", "5")[1].strip() == "42"
     assert run(capsys, "formula", "catalan-triangle", "--n", "3", "--k", "2")[1].strip() == "5"

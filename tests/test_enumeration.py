@@ -29,7 +29,8 @@ from cycvin.formulas import (
     updown,
 )
 from cycvin.matcher import _contains_cyclic_rep, avoids_set
-from cycvin.occurrence import _anchored, count_by_occurrence, occurrence_leaves, occurrence_steps
+from cycvin.occurrence import (_anchored, count_by_occurrence, occurrence_leaves,
+                               occurrence_steps, refine_by_occurrence)
 from cycvin.patterns import (
     Pattern,
     PatternSet,
@@ -344,11 +345,10 @@ def _assert_answers_match_a_scan(kind, s, n):
     assert count_avoiders(s, n) == len(scan), (kind, s, n)
     assert list(enumerate_avoiders(s, n)) == scan, (kind, s, n)
     assert first_avoider(s, n) == (scan[0] if scan else None), (kind, s, n)
-    if n >= 3:
-        for stat, of in (("predecessor_of_n", predecessor_of_n),
-                         ("zeil_reverse", CyclicPerm.zeil_reverse)):
-            expected = dict(sorted(Counter(map(of, scan)).items()))
-            assert count_refined(s, n, stat) == expected, (kind, s, n, stat)
+    for stat, of in (("predecessor_of_n", predecessor_of_n),
+                     ("zeil_reverse", CyclicPerm.zeil_reverse)):
+        expected = dict(sorted(Counter(map(of, scan)).items()))
+        assert count_refined(s, n, stat) == expected, (kind, s, n, stat)
 
 
 def test_dead_end_prunes_keep_every_answer():
@@ -611,6 +611,20 @@ def test_occurrence_count_nodes_are_pinned():
     for jobs in (1, 2):
         assert _budget_outcome(s, 10, 1181, jobs) == ("count", 4862)
         assert _budget_outcome(s, 10, 1180, jobs) == ("budget", 1181)
+
+
+@pytest.mark.parametrize("s, n, walk", [
+    (PatternSet.from_texts("[1~3,2,4]"), 10, (1181, 216, 279)),
+    (SEAM_CATALAN, 9, (1764, 400, 539)),
+], ids=["bonded", "anchored"])
+def test_count_and_refinement_take_one_walk(s, n, walk):
+    # a count and a predecessor_of_n fold are one recursion over the same
+    # keys: equal nodes, memo states and hits
+    count, refined = _Search(s, n, None), _Search(s, n, None)
+    assert count_by_occurrence(count) == catalan(n - 1)
+    assert sum(refine_by_occurrence(refined, "predecessor_of_n").values()) == catalan(n - 1)
+    assert (count.nodes, len(count.memo), count.hits) == walk
+    assert (refined.nodes, len(refined.memo), refined.hits) == walk
 
 
 def test_occurrence_memo_is_chosen_from_the_set():
